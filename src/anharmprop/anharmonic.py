@@ -15,7 +15,7 @@ the generating-function factorization into the recurrence form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -31,6 +31,7 @@ from .oscillator_ode import (
     make_boundary,
     solve_Q,
 )
+from .special_fn import hermite2
 
 __all__ = [
     "KappaVector",
@@ -72,7 +73,8 @@ class KappaVector:
 
 @dataclass(frozen=True)
 class PropagatorBreakdown:
-    """Harmonic factor, per-order corrections and the truncated total."""
+    """Harmonic factor, per-order corrections and the truncated total, with
+    the ODE solution (Q, f, I on the grid) they were computed from."""
 
     harmonic_value: float  # exp(exponent) — the Gaussian boundary factor
     f_beta: float
@@ -81,6 +83,7 @@ class PropagatorBreakdown:
     total: float
     p1: float
     truncation_estimate: float
+    solution: OscillatorSolution = field(repr=False, compare=False)
 
 
 def series_coefficient(mu: int) -> float:
@@ -240,10 +243,11 @@ class _NestedTables:
 
 
 def _tables(solution: OscillatorSolution, model: CoefficientModel) -> _NestedTables:
-    key = id(model)
-    tab = solution._nested_cache.get(key)
+    # Keyed on the model itself: the cache keeps it alive, so a key can never
+    # be reused by another model the way a recycled id() could.
+    tab = solution._nested_cache.get(model)
     if tab is None:
-        tab = solution._nested_cache[key] = _NestedTables(solution, model)
+        tab = solution._nested_cache[model] = _NestedTables(solution, model)
     return tab
 
 
@@ -260,19 +264,19 @@ def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -
 # ---------------------------------------------------------------------------
 
 
-def _kappa_route_term(
-    solution: OscillatorSolution,
-    model: CoefficientModel,
-    boundary: BoundaryData,
-    mu: int,
-) -> float:
-    """(-4)^mu (4!)^mu sum_{kv in [0,4]^mu} I_kv scriptD(kv)."""
-    tab = _tables(solution, model)
+def _kappa_sum(tab: _NestedTables, boundary: BoundaryData, mu: int, n_min: int) -> float:
+    """sum_{kv in [0,4]^mu} I_kv times the nested-operator recurrence of kv.
+
+    n_min=0 gives (-4)^mu (4!)^mu sum I_kv scriptD(kv), the order-mu term of
+    W; n_min=1 drops the n=0 operator term, giving the order-mu increment of
+    the P1 series.
+    """
     total = 0.0
     for kv in product(range(5), repeat=mu):
-        R = _recurrence_poly(kv[::-1], boundary.gamma, n_min=0)
-        dval = float(polyval2d(boundary.phiB_hat, boundary.phi0_hat, R))
-        total += float(tab.suffix(kv)[0]) * dval
+        R = _recurrence_poly(kv[::-1], boundary.gamma, n_min)
+        total += float(tab.suffix(kv)[0]) * float(
+            polyval2d(boundary.phiB_hat, boundary.phi0_hat, R)
+        )
     return total
 
 
@@ -288,7 +292,7 @@ def w_mu(
         raise ValueError(f"mu must lie in [0, {MU_CAP}], got {mu}")
     if mu == 0:
         return 1.0
-    term = _kappa_route_term(solution, model, boundary, mu)
+    term = _kappa_sum(_tables(solution, model), boundary, mu, n_min=0)
     return term / series_coefficient(mu)
 
 
@@ -334,15 +338,6 @@ class _Jet:
         return out
 
 
-def _hermite2_any(n: int, x, y):
-    """H_n(x, y) for ring elements (floats, arrays, jets)."""
-    total = 0.0
-    for k in range(n // 2 + 1):
-        coeff = math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
-        total = total + coeff * x ** (n - 2 * k) * y**k
-    return total
-
-
 def _extrapolate_node0(grid: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0))
 
@@ -374,10 +369,9 @@ def w_mu_direct(
     if mu == 1:
         y = np.empty_like(grid)
         u = p0 * I[1:] + pB
-        y[1:] = w4[1:] * _hermite2_any(4, 2.0 * u, I[1:])
+        y[1:] = w4[1:] * hermite2(4, 2.0 * u, I[1:])
         y[0] = _extrapolate_node0(grid, y)
-        anti = CubicSpline(grid, y).antiderivative()
-        return float(anti(grid[-1]) - anti(0.0))
+        return float(_cumulative_from_right(grid, y)[0])
 
     # mu = 2
     outer = np.empty_like(grid)
@@ -386,15 +380,13 @@ def w_mu_direct(
         I1 = I[i]
         u = _Jet([p0 * I1 + pB, p0 * I2[1:] + pB])
         w = _Jet([np.full(grid.size - 1, I1), 2.0 * I2[1:], I2[1:]])
-        K = _hermite2_any(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
+        K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
         row = np.empty_like(grid)
         row[1:] = w4[1:] * K
         row[0] = _extrapolate_node0(grid, row)
-        anti = CubicSpline(grid, row).antiderivative()
-        outer[i] = w4[i] * float(anti(grid[-1]) - anti(grid[i]))
+        outer[i] = w4[i] * float(_cumulative_from_right(grid, row)[i])
     outer[0] = _extrapolate_node0(grid, outer)
-    anti = CubicSpline(grid, outer).antiderivative()
-    return float(anti(grid[-1]) - anti(0.0))
+    return float(_cumulative_from_right(grid, outer)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +427,7 @@ def propagator(
         total=total,
         p1=p1,
         truncation_estimate=truncation,
+        solution=solution,
     )
 
 
@@ -456,12 +449,7 @@ def p1_series(
     partials = []
     total = 0.0
     for mu in range(1, mu_max + 1):
-        inc = 0.0
-        for kv in product(range(5), repeat=mu):
-            R = _recurrence_poly(kv[::-1], boundary.gamma, n_min=1)
-            zval = float(polyval2d(boundary.phiB_hat, boundary.phi0_hat, R))
-            inc += float(tab.suffix(kv)[0]) * zval
-        total += inc
+        total += _kappa_sum(tab, boundary, mu, n_min=1)
         partials.append(total)
     if return_partials:
         return total, partials

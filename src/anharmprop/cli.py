@@ -11,8 +11,9 @@ Subcommands:
 * ``table``      — tabulate special functions (pcf, hermite,
   incomplete-hermite, a-coeff, i1).
 
-Config grammar: flat ``key = value`` lines, ``#`` comments, optional
-``[section]`` headers that prefix following keys with ``section.``.
+Config grammar: flat ``key = value`` lines, ``#`` comments (at the start of
+a line or after whitespace, so ``#`` inside a value such as a path is kept),
+optional ``[section]`` headers that prefix following keys with ``section.``.
 Coefficients accept ``const:<v>``, ``poly:<c0,c1,...>`` or ``table:<path>``
 (CSV of ``tau,value`` rows).  All emitted CSV uses ``.`` decimals, 17
 significant digits and LF line endings, and is a deterministic function of
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -61,7 +63,7 @@ def parse_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -95,34 +97,38 @@ def _parse_coefficient(spec: str, base: Path):
     )
 
 
-def _require(cfg: dict[str, str], key: str) -> str:
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
-    return cfg[key]
-
-
-def build_model(cfg: dict[str, str], base: Path) -> CoefficientModel:
-    try:
-        beta = float(_require(cfg, "beta"))
-    except ValueError as exc:
-        raise ConfigError(f"bad beta: {exc}") from exc
-    return CoefficientModel(
-        a=_parse_coefficient(_require(cfg, "coeff.a"), base),
-        b=_parse_coefficient(_require(cfg, "coeff.b"), base),
-        c=_parse_coefficient(_require(cfg, "coeff.c"), base),
-        beta=beta,
-    )
-
-
-def _floats(cfg: dict[str, str], key: str, default=None) -> float:
+def _get(cfg: dict[str, str], key: str, kind=float, default=None):
+    """cfg[key] converted by `kind` (float, int, str, ...); a missing key gives
+    `default`, or is an error when there is none."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
+
+
+def build_model(cfg: dict[str, str], base: Path) -> CoefficientModel:
+    beta = _get(cfg, "beta")
+    return CoefficientModel(
+        a=_parse_coefficient(_get(cfg, "coeff.a", str), base),
+        b=_parse_coefficient(_get(cfg, "coeff.b", str), base),
+        c=_parse_coefficient(_get(cfg, "coeff.c", str), base),
+        beta=beta,
+    )
+
+
+def _series_inputs(cfg: dict[str, str], base: Path):
+    """The model, endpoints and series settings shared by propagator and compare."""
+    return (
+        build_model(cfg, base),
+        _get(cfg, "phi0"),
+        _get(cfg, "phiN"),
+        _get(cfg, "mu_max", int, 2),
+        _get(cfg, "grid_n", int, 512),
+    )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -138,20 +144,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def run_propagator(cfg: dict[str, str], base: Path, outdir: Path) -> None:
-    model = build_model(cfg, base)
-    phi0 = _floats(cfg, "phi0")
-    phiN = _floats(cfg, "phiN")
-    mu_max = int(_floats(cfg, "mu_max", 2))
-    grid_n = int(_floats(cfg, "grid_n", 512))
-
+    model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
     breakdown = propagator(model, phi0, phiN, mu_max=mu_max, grid_n=grid_n)
+    # The same operations as harmonic_propagator's value: 1/sqrt(f(beta)) exp(...).
+    harm = 1.0 / math.sqrt(breakdown.f_beta) * breakdown.harmonic_value
     rows = []
     cumulative = 0.0
-    from .oscillator_ode import harmonic_propagator, make_boundary, solve_Q
-
-    solution = solve_Q(model, grid_n)
-    boundary = make_boundary(solution, phi0, phiN)
-    _, _, harm = harmonic_propagator(solution, boundary)
     for mu, (coeff, w) in enumerate(
         zip(breakdown.series_coefficients, breakdown.W_mu_terms)
     ):
@@ -159,6 +157,7 @@ def run_propagator(cfg: dict[str, str], base: Path, outdir: Path) -> None:
         rows.append([str(mu), _fmt(coeff), _fmt(w), _fmt(cumulative)])
     _write_csv(outdir / "breakdown.csv", ["mu", "coefficient", "W_mu", "cumulative_total"], rows)
 
+    solution = breakdown.solution
     sol_rows = [
         [_fmt(t), _fmt(q), _fmt(f), _fmt(i)]
         for t, q, f, i in zip(solution.grid, solution.Q, solution.f, solution.I_of_tau)
@@ -169,18 +168,11 @@ def run_propagator(cfg: dict[str, str], base: Path, outdir: Path) -> None:
 
 
 def run_compare(cfg: dict[str, str], base: Path, outdir: Path) -> None:
-    model = build_model(cfg, base)
-    phi0 = _floats(cfg, "phi0")
-    phiN = _floats(cfg, "phiN")
-    mu_max = int(_floats(cfg, "mu_max", 2))
-    grid_n = int(_floats(cfg, "grid_n", 512))
-    try:
-        n_list = [int(tok) for tok in _require(cfg, "oracle.N_list").split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad oracle.N_list: {exc}") from exc
-    samples = int(_floats(cfg, "oracle.samples", 100000))
-    seed = int(_floats(cfg, "oracle.seed", 0))
-    workers = int(_floats(cfg, "oracle.workers", 1))
+    model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
+    n_list = _get(cfg, "oracle.N_list", lambda v: [int(tok) for tok in v.split(",")])
+    samples = _get(cfg, "oracle.samples", int, 100000)
+    seed = _get(cfg, "oracle.seed", int, 0)
+    workers = _get(cfg, "oracle.workers", int, 1)
 
     analytic = propagator(model, phi0, phiN, mu_max=mu_max, grid_n=grid_n).total
     bd = (phi0, phiN)

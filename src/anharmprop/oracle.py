@@ -336,20 +336,6 @@ def wn_montecarlo(
 # ---------------------------------------------------------------------------
 
 
-class _ScaledPcfTable:
-    """Cache of scriptD_{-m-1/2}(z) for one fixed argument z."""
-
-    def __init__(self, z: float):
-        self.z = z
-        self._vals: list[float] = []
-
-    def upto(self, m_max: int) -> np.ndarray:
-        while len(self._vals) <= m_max:
-            m = len(self._vals)
-            self._vals.append(pcf_scaled(-m - 0.5, self.z))
-        return np.asarray(self._vals[: m_max + 1])
-
-
 def _series_prefactor(sm: SlicedModel) -> float:
     N, d = sm.N, sm.delta
     val = (2.0 * math.pi * d / sm.c[0]) ** -0.5
@@ -368,7 +354,12 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
     N, d = sm.N, sm.delta
     s0 = sm.c[1] * sm.phi0 * math.sqrt(sm.sigma[1]) / d
     t_last = sm.c[N] * sm.phiN * math.sqrt(sm.sigma[N - 1]) / (2.0 * d)
-    tabs = [_ScaledPcfTable(sm.z[i]) for i in range(N)]  # index i >= 1 used
+    # scriptD_{-m-1/2}(z_i), m = 0..2 cap, on the interior slices i >= 1
+    # (z_0 = 0 lies outside pcf_scaled's domain and is never used).
+    pcf = [None] + [
+        np.array([pcf_scaled(-m - 0.5, sm.z[i]) for m in range(2 * cap + 1)])
+        for i in range(1, N)
+    ]
 
     total = 0.0
     n0 = np.arange(cap)
@@ -377,7 +368,7 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
             [s0 ** (2 * k + rho) / math.factorial(2 * k + rho) for k in n0]
         )
         if N == 2:
-            D1 = tabs[1].upto(2 * cap)
+            D1 = pcf[1]
             acc = 0.0
             for n1 in range(cap):
                 pochs = poch(n1 + rho + 0.5, n0)
@@ -388,8 +379,7 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
                 )
             total += acc
         elif N == 3:
-            D1 = tabs[1].upto(2 * cap)
-            D2 = tabs[2].upto(2 * cap)
+            D1, D2 = pcf[1], pcf[2]
             # v1[n1] = sum_{n0} A[n0] poch(n1+rho+1/2, n0) scriptD(z1)[n1+rho+n0]
             v1 = np.array(
                 [

@@ -136,8 +136,7 @@ class OscillatorSolution:
     Y_reg: float
     q_positive: bool
     richardson: dict = field(default_factory=dict)
-    # private: spline of the subtracted kernel integrand and of Q
-    _bracket_spline: CubicSpline | None = None
+    # private: antiderivative of the subtracted kernel integrand; spline of Q
     _bracket_anti: CubicSpline | None = None
     _Q_spline: CubicSpline | None = None
     _nested_cache: dict = field(default_factory=dict)
@@ -214,7 +213,14 @@ def _solve_system(model: CoefficientModel, grid: np.ndarray, which: str):
     return fine, est
 
 
-def _build_solution(model: CoefficientModel, grid_n: int) -> OscillatorSolution:
+def _kernel(anti, c0: float, beta: float, tau):
+    """I(tau) from the antiderivative of 1/(c Q^2) - 1/(c0 s^2) plus the exact
+    integral of the subtracted 1/(c0 s^2); tau may be a scalar or an array."""
+    return (anti(beta) - anti(tau)) + (1.0 / c0) * (1.0 / tau - 1.0 / beta)
+
+
+def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
+    """Solve the Q equation (and the rest of the solution bundle) on a shared grid."""
     if grid_n < 64:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     grid = np.linspace(0.0, model.beta, grid_n + 1)
@@ -246,31 +252,17 @@ def _build_solution(model: CoefficientModel, grid_n: int) -> OscillatorSolution:
         g[1:] = 1.0 / (cvals[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
         # Endpoint refinement: quadratic extrapolation to tau=0.
         g[0] = float(np.polyval(np.polyfit(grid[1:4], g[1:4], 2), 0.0))
-        spl = CubicSpline(grid, g)
-        anti = spl.antiderivative()
-        sol._bracket_spline = spl
-        sol._bracket_anti = anti
-        beta = model.beta
-        tail = float(anti(beta))
-        with np.errstate(divide="ignore"):
-            sol.I_of_tau = np.where(
-                grid > 0.0,
-                (tail - anti(grid)) + (1.0 / c0) * (1.0 / np.where(grid > 0, grid, 1.0) - 1.0 / beta),
-                np.inf,
-            )
+        sol._bracket_anti = CubicSpline(grid, g).antiderivative()
+        with np.errstate(divide="ignore"):  # I(0) = +inf
+            sol.I_of_tau = _kernel(sol._bracket_anti, c0, model.beta, grid)
         sol.I_of_tau[-1] = 0.0
         sol.Y_reg = _regularized_Y_impl(sol)
     return sol
 
 
-def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
-    """Solve the Q equation (and the rest of the solution bundle) on a shared grid."""
-    return _build_solution(model, grid_n)
-
-
 def solve_f(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     """Solve the f (Gel'fand–Yaglom) equation; same solution bundle as solve_Q."""
-    return _build_solution(model, grid_n)
+    return solve_Q(model, grid_n)
 
 
 def _require_kernel(solution: OscillatorSolution) -> None:
@@ -289,8 +281,7 @@ def kernel_I(solution: OscillatorSolution, tau: float) -> float:
     if tau == beta:
         return 0.0
     c0 = float(solution.model.c(0.0))
-    anti = solution._bracket_anti
-    return float(anti(beta) - anti(tau)) + (1.0 / c0) * (1.0 / tau - 1.0 / beta)
+    return float(_kernel(solution._bracket_anti, c0, beta, tau))
 
 
 def _regularized_Y_impl(solution: OscillatorSolution, tol: float = 1e-6) -> float:
@@ -306,8 +297,7 @@ def _regularized_Y_impl(solution: OscillatorSolution, tol: float = 1e-6) -> floa
     def bracket(eps: float) -> float:
         q_eps = float(solution._Q_spline(eps))
         c_eps = float(solution.model.c(eps))
-        integral = float(anti(beta) - anti(eps)) + (1.0 / c0) * (1.0 / eps - 1.0 / beta)
-        return integral - eps / (c_eps * q_eps * q_eps)
+        return float(_kernel(anti, c0, beta, eps)) - eps / (c_eps * q_eps * q_eps)
 
     # The bracket approaches its limit with an O(eps) leading error (the
     # harmonic term in Q's small-tau expansion), plus O(eps^2); eliminate both.

@@ -192,6 +192,20 @@ class TestWmuRoutes:
         w_s = w_mu(sol_s, scaled, bd_s, mu)
         assert w_s == pytest.approx(lam**mu * w_b, rel=1e-12)
 
+    def test_solution_reused_across_temporary_models(self):
+        # Q, I and the boundary data do not involve a, so one solution may
+        # serve several models; W(1) is linear in a.  Each temporary model is
+        # garbage-collected after its call, so a memo keyed on id(model) could
+        # hand a later model the tables of an earlier one.
+        sol = solve_Q(REFERENCE, 256)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        values = [
+            w_mu(sol, CoefficientModel(a=a, b=0.5, c=1.0, beta=1.0), boundary, 1)
+            for a in (0.1, 0.2, 0.4)
+        ]
+        assert values[1] == pytest.approx(2.0 * values[0], rel=1e-12)
+        assert values[2] == pytest.approx(4.0 * values[0], rel=1e-12)
+
     def test_w0_is_one(self):
         sol = solve_Q(REFERENCE)
         boundary = make_boundary(sol, 0.3, -0.2)
@@ -216,6 +230,7 @@ class TestPropagator:
         assert br.total == pytest.approx(expected, rel=1e-13)
         assert len(br.W_mu_terms) == 3
         assert br.W_mu_terms[0] == 1.0
+        assert br.f_beta == float(br.solution.f[-1])
 
     def test_harmonic_limit_matches_mehler(self):
         b, c, beta = 0.5, 1.0, 1.0

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import anharmprop
 from anharmprop.cli import ConfigError, main, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -46,10 +47,11 @@ class TestParseConfig:
                 "beta = 1.0  # inline comment\n"
                 "# full-line comment\n"
                 "[coeff]\n"
-                "a = const:0.1\n",
+                "a = const:0.1\n"
+                "c = table:tab#1.csv\t# a '#' inside a value is kept\n",
             )
         )
-        assert cfg == {"beta": "1.0", "coeff.a": "const:0.1"}
+        assert cfg == {"beta": "1.0", "coeff.a": "const:0.1", "coeff.c": "table:tab#1.csv"}
 
     def test_error_reports_line_number(self, tmp_path):
         path = write_cfg(tmp_path / "c.cfg", "beta = 1.0\nnot a key value line\n")
@@ -68,8 +70,9 @@ class TestPropagatorCommand:
             ["--config", str(REFERENCE_CFG), "--out", str(tmp_path), "propagator"]
         )
         assert rc == 0
-        got = (tmp_path / "breakdown.csv").read_bytes()
-        assert got == (GOLDEN / "breakdown.csv").read_bytes()
+        for name in ("breakdown.csv", "solution.csv"):
+            got = (tmp_path / name).read_bytes()
+            assert got == (GOLDEN / name).read_bytes(), name
 
     def test_solution_csv_columns(self, tmp_path):
         main(["--config", str(REFERENCE_CFG), "--out", str(tmp_path), "propagator"])
@@ -102,6 +105,26 @@ class TestPropagatorCommand:
         assert rc == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, line, bad_line, key",
+        [
+            ("propagator", "mu_max = 2", "mu_max = 2.7", "mu_max"),
+            ("propagator", "grid_n = 256", "grid_n = 256.5", "grid_n"),
+            ("compare", "samples = 20000", "samples = 20000.5", "oracle.samples"),
+            ("compare", "seed = 77", "seed = 7.7", "oracle.seed"),
+            ("compare", "seed = 77", "seed = 77\nworkers = 1.5", "oracle.workers"),
+        ],
+        ids=["mu_max", "grid_n", "samples", "seed", "workers"],
+    )
+    def test_non_integer_for_integer_key_exits_2(
+        self, tmp_path, capsys, command, line, bad_line, key
+    ):
+        # Integer keys are rejected, not truncated.
+        cfg = write_cfg(tmp_path / "bad.cfg", SMALL_CFG.replace(line, bad_line))
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "propagator"]) == 2
 
@@ -126,6 +149,21 @@ class TestPropagatorCommand:
         )
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
         assert rc == 0
+
+    def test_table_path_containing_hash(self, tmp_path):
+        taus = np.linspace(0.0, 1.0, 21)
+        np.savetxt(
+            tmp_path / "tab#1.csv",
+            np.column_stack([taus, np.full_like(taus, 1.0)]),
+            delimiter=",",
+        )
+        cfg = write_cfg(
+            tmp_path / "t.cfg",
+            SMALL_CFG.replace("c = const:1.0", "c = table:tab#1.csv  # kinetic"),
+        )
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "propagator"])
+        assert rc == 0
+        assert (tmp_path / "out" / "breakdown.csv").is_file()
 
 
 class TestCompareCommand:
@@ -237,3 +275,9 @@ class TestTableCommand:
 class TestConsoleScript:
     def test_entry_point_installed(self):
         assert shutil.which("anharmprop") is not None
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert anharmprop.__version__ == project["version"]
