@@ -164,53 +164,91 @@ def make_boundary(solution: OscillatorSolution, phi0: float, phiB: float) -> Bou
     )
 
 
-def _rk4(deriv, y0: np.ndarray, grid: np.ndarray, substeps: int) -> np.ndarray:
-    """Classical RK4 with `substeps` equal sub-steps per grid interval."""
-    out = np.empty((grid.size, y0.size))
-    out[0] = y = np.array(y0, dtype=float)
-    for i in range(grid.size - 1):
-        t = grid[i]
-        h = (grid[i + 1] - grid[i]) / substeps
+def _stage_times(grid: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 stage times and sub-step sizes for `substeps` sub-steps per interval.
+
+    Returns the times t, t + h/2, t + h of every sub-step in the order the scan
+    visits them, and h per interval.  A sub-step starts where the previous one
+    ended, accumulated as t += h, so the last end time of an interval need not
+    equal the next grid point exactly.
+    """
+    t = grid[:-1]
+    h = (grid[1:] - grid[:-1]) / substeps
+    stages = []
+    for _ in range(substeps):
+        stages += [t, t + 0.5 * h, t + h]
+        t = t + h
+    return np.stack(stages, axis=1).ravel(), h
+
+
+def _rk4_scan(p: list, q: list, y0: float, y1: float, h_steps: list, substeps: int):
+    """Classical RK4 for the linear system (y0, y1)' = (y1, p y1 + q y0).
+
+    p and q hold the coefficients at the stage times of `_stage_times`, three
+    per sub-step; the arithmetic is done in plain floats.
+    """
+    out = [(y0, y1)]
+    j = 0
+    for h in h_steps:
+        half, w = 0.5 * h, h / 6.0
         for _ in range(substeps):
-            k1 = deriv(t, y)
-            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = deriv(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out[i + 1] = y
+            pa, pb, pc = p[j], p[j + 1], p[j + 2]
+            qa, qb, qc = q[j], q[j + 1], q[j + 2]
+            k1, m1 = y1, pa * y1 + qa * y0
+            u0, u1 = y0 + half * k1, y1 + half * m1
+            k2, m2 = u1, pb * u1 + qb * u0
+            u0, u1 = y0 + half * k2, y1 + half * m2
+            k3, m3 = u1, pb * u1 + qb * u0
+            u0, u1 = y0 + h * k3, y1 + h * m3
+            k4, m4 = u1, pc * u1 + qc * u0
+            y0 = y0 + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y1 = y1 + w * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+            j += 3
+        out.append((y0, y1))
+    return np.array(out)
+
+
+def _rk4_pass(model: CoefficientModel, grid: np.ndarray, initial: dict, substeps: int):
+    """One RK4 pass over the grid for each characteristic system, sampling the
+    coefficients once at all stage times."""
+    times, h = _stage_times(grid, substeps)
+    c = model.c.value(times)
+    c1 = model.c.d1(times)
+    c2 = model.c.d2(times)
+    b = model.b.value(times)
+    l1 = c1 / c
+    harmonic = (2.0 * b) / c
+    linear = {
+        "Q": (-l1, harmonic),
+        "f": (l1, harmonic + (c2 / c - l1 * l1)),
+    }
+    h_steps = h.tolist()
+    return {
+        which: _rk4_scan(p.tolist(), q.tolist(), *initial[which], h_steps, substeps)
+        for which, (p, q) in linear.items()
+    }
+
+
+def _solve_systems(model: CoefficientModel, grid: np.ndarray) -> dict:
+    """Q and f, each with its Richardson step-size estimate.
+
+    The two systems are integrated independently (f = 2 pi c Q / c(0)^2 is a
+    cross-check), each on the fine grid and, for the estimate, the coarse one.
+    """
+    initial = {"Q": (0.0, 1.0), "f": (0.0, 2.0 * math.pi / float(model.c.value(0.0)))}
+    fine = _rk4_pass(model, grid, initial, substeps=2)
+    coarse = _rk4_pass(model, grid, initial, substeps=1)
+    out = {}
+    for which in ("Q", "f"):
+        scale = max(1.0, float(np.max(np.abs(fine[which]))))
+        est = float(np.max(np.abs(fine[which] - coarse[which]))) / 15.0 / scale
+        if est > 1e-6:
+            raise ArithmeticError(
+                f"{which}-ODE step-size failure: Richardson estimate {est:.3e}; "
+                "increase grid_n"
+            )
+        out[which] = fine[which], est
     return out
-
-
-def _solve_system(model: CoefficientModel, grid: np.ndarray, which: str):
-    c, b = model.c, model.b
-
-    def lnc1(t):
-        return float(c.d1(t)) / float(c.value(t))
-
-    if which == "Q":
-        def deriv(t, y):
-            cc = float(c.value(t))
-            return np.array([y[1], -lnc1(t) * y[1] + 2.0 * float(b.value(t)) / cc * y[0]])
-        y0 = np.array([0.0, 1.0])
-    else:
-        def deriv(t, y):
-            cc = float(c.value(t))
-            l1 = float(c.d1(t)) / cc
-            l2 = float(c.d2(t)) / cc - l1 * l1
-            return np.array([y[1], l1 * y[1] + (2.0 * float(b.value(t)) / cc + l2) * y[0]])
-        y0 = np.array([0.0, 2.0 * math.pi / float(c.value(0.0))])
-
-    fine = _rk4(deriv, y0, grid, substeps=2)
-    coarse = _rk4(deriv, y0, grid, substeps=1)
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    est = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
-    if est > 1e-6:
-        raise ArithmeticError(
-            f"{which}-ODE step-size failure: Richardson estimate {est:.3e}; "
-            "increase grid_n"
-        )
-    return fine, est
 
 
 def _kernel(anti, c0: float, beta: float, tau):
@@ -224,8 +262,9 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     if grid_n < 64:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     grid = np.linspace(0.0, model.beta, grid_n + 1)
-    qsol, q_est = _solve_system(model, grid, "Q")
-    fsol, f_est = _solve_system(model, grid, "f")
+    systems = _solve_systems(model, grid)
+    qsol, q_est = systems["Q"]
+    fsol, f_est = systems["f"]
     Q, Qdot = qsol[:, 0], qsol[:, 1]
     f, fdot = fsol[:, 0], fsol[:, 1]
     q_positive = bool(np.all(Q[1:] > 0.0))
@@ -292,19 +331,24 @@ def _regularized_Y_impl(solution: OscillatorSolution, tol: float = 1e-6) -> floa
     # (Q''(0) = -c'(0)/c(0)), so no finite c'(0) remnant survives.
     route_i = float(anti(beta) - anti(0.0)) - 1.0 / (c0 * beta)
 
-    # Route (ii): evaluate the defining bracket at eps = beta 2^{-k} and
-    # Richardson-extrapolate its O(eps^2) convergence.
+    # Route (ii): evaluate the defining bracket at eps = 8, 4, 2 and 1 grid
+    # intervals (beta 2^{-6..-9} at grid_n = 512) and Richardson-extrapolate.
+    # Below one interval the spline error of Q, amplified by 1/eps^2, would
+    # dominate; tied to the grid, the route converges as grid_n grows.
     def bracket(eps: float) -> float:
         q_eps = float(solution._Q_spline(eps))
         c_eps = float(solution.model.c(eps))
         return float(_kernel(anti, c0, beta, eps)) - eps / (c_eps * q_eps * q_eps)
 
     # The bracket approaches its limit with an O(eps) leading error (the
-    # harmonic term in Q's small-tau expansion), plus O(eps^2); eliminate both.
-    r = [bracket(beta * 2.0**-k) for k in (6, 7, 8)]
-    e1 = 2.0 * r[1] - r[0]
-    e2 = 2.0 * r[2] - r[1]
-    route_ii = (4.0 * e2 - e1) / 3.0
+    # harmonic term in Q's small-tau expansion), plus O(eps^2) and O(eps^3);
+    # eliminate all three.  The eps^3 term grows with 2 b beta^2 / c and with
+    # fast variation of c near tau = 0.
+    r = [bracket(solution.grid[1] * 2.0**j) for j in (3, 2, 1, 0)]
+    for order in (1, 2, 3):
+        r = [(2.0**order * fine - coarse) / (2.0**order - 1.0)
+             for coarse, fine in zip(r, r[1:])]
+    route_ii = r[0]
 
     if abs(route_i - route_ii) > tol * max(1.0, abs(route_i)):
         raise ArithmeticError(

@@ -6,6 +6,7 @@ Closed forms used as oracles:
   - c = 1, b = 0: Q = tau, I(tau) = 1/tau - 1/beta, Y_reg = -1/beta;
   - constant coefficients: Y_reg = -(omega/c) coth(omega beta).
 """
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,94 @@ OSCILLATING_B = CoefficientModel(
     beta=1.5,
 )
 MODELS = [CONSTANT, LINEAR_C, OSCILLATING_B]
+
+
+def _table(beta, values):
+    return table_coefficient(np.linspace(0.0, beta, len(values)), values)
+
+
+# Non-constant c and b make every RK4 stage time matter, so these pin the
+# stage-time sequence (t, t + h/2, t + h, accumulated as t += h) bit for bit.
+# Values: sha256 of the Q, Qdot, f, fdot bytes, then richardson["Q"],
+# richardson["f"] and Y_reg as float.hex(), at grid_n = 512.
+PINNED = {
+    "poly-c": (
+        CoefficientModel(a=0.05, b=0.5, c=poly_coefficient([1.0, 0.3, -0.1]), beta=1.3),
+        "789c98104f044071ef07757bd2c64349d3e2be5225730bdbabbb82cf1eb6ecf3",
+        "0x1.00477c2b134e0p-45",
+        "0x1.0fdda685b64d6p-46",
+        "-0x1.19045573a1477p+0",
+    ),
+    "table-c": (
+        CoefficientModel(
+            a=0.05, b=0.6, c=_table(1.1, [1.0, 1.08, 1.12, 1.05, 0.96, 0.91, 0.95]), beta=1.1
+        ),
+        "46e5e717d9f3483e5614538256fc18042eeebf46a89549e3c9dc1d85278d4efd",
+        "0x1.2a7ecaa0bd548p-34",
+        "0x1.5563a05add569p-33",
+        "-0x1.2b6a66ea2d970p+0",
+    ),
+    "table-b": (
+        CoefficientModel(
+            a=0.05, b=_table(1.4, [0.4, 0.55, 0.7, 0.62, 0.48, 0.5]), c=1.0, beta=1.4
+        ),
+        "7cc00b295fcd57b23eeea6ba224178dc2ca4fb2575c5d618ce62c4553ba886a0",
+        "0x1.02519e55177f3p-43",
+        "0x1.0227f4303d41dp-43",
+        "-0x1.2741ecd8c90f5p+0",
+    ),
+}
+
+
+def _stagewise_rk4(model, grid_n, which):
+    """Reference: RK4 in numpy with the coefficients evaluated per stage."""
+    c, b = model.c, model.b
+
+    def deriv(t, y):
+        cc = float(c.value(t))
+        l1 = float(c.d1(t)) / cc
+        if which == "Q":
+            return np.array([y[1], -l1 * y[1] + 2.0 * float(b.value(t)) / cc * y[0]])
+        l2 = float(c.d2(t)) / cc - l1 * l1
+        return np.array([y[1], l1 * y[1] + (2.0 * float(b.value(t)) / cc + l2) * y[0]])
+
+    grid = np.linspace(0.0, model.beta, grid_n + 1)
+    y = np.array([0.0, 1.0 if which == "Q" else 2.0 * math.pi / float(c.value(0.0))])
+    out = [y]
+    for i in range(grid_n):
+        t = grid[i]
+        h = (grid[i + 1] - grid[i]) / 2
+        for _ in range(2):
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        out.append(y)
+    return np.array(out)
+
+
+def _counting(model):
+    """model with every coefficient callable counted in calls[0]."""
+    calls = [0]
+
+    def counted(fn):
+        def call(t):
+            calls[0] += 1
+            return fn(t)
+
+        return call
+
+    def wrap(coeff):
+        return Coefficient(
+            coeff.kind, counted(coeff.value), counted(coeff.d1), counted(coeff.d2)
+        )
+
+    return (
+        CoefficientModel(a=wrap(model.a), b=wrap(model.b), c=wrap(model.c), beta=model.beta),
+        calls,
+    )
 
 
 class TestCoefficients:
@@ -130,6 +219,39 @@ class TestQSolution:
         with pytest.raises(ValueError):
             solve_Q(CONSTANT, grid_n=32)
 
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned_fingerprint(self, name):
+        model, digest, q_est, f_est, y_reg = PINNED[name]
+        sol = solve_Q(model, grid_n=512)
+        h = hashlib.sha256()
+        for arr in (sol.Q, sol.Qdot, sol.f, sol.fdot):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+        assert sol.richardson["Q"].hex() == q_est
+        assert sol.richardson["f"].hex() == f_est
+        assert sol.Y_reg.hex() == y_reg
+
+    # Only + and * models: a vectorized transcendental (OSCILLATING_B's cos)
+    # may round differently from its scalar call on some CPUs.
+    @pytest.mark.parametrize(
+        "model", [CONSTANT, LINEAR_C, PINNED["table-c"][0], PINNED["table-b"][0]],
+        ids=["constant", "linear-c", "table-c", "table-b"],
+    )
+    def test_matches_stagewise_reference(self, model):
+        sol = solve_Q(model, grid_n=256)
+        for which, y, ydot in (("Q", sol.Q, sol.Qdot), ("f", sol.f, sol.fdot)):
+            ref = _stagewise_rk4(model, 256, which)
+            assert np.array_equal(y, ref[:, 0]) and np.array_equal(ydot, ref[:, 1])
+
+    def test_coefficient_calls_independent_of_grid(self):
+        model, calls = _counting(PINNED["poly-c"][0])
+        counts = []
+        for grid_n in (128, 1024):
+            calls[0] = 0
+            solve_Q(model, grid_n=grid_n)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] < 50
+
 
 class TestFQProportionality:
     @pytest.mark.parametrize("model", MODELS, ids=["constant", "linear-c", "oscillating-b"])
@@ -200,6 +322,38 @@ class TestRegularizedY:
         # the Richardson route; solve_Q raises if they disagree.
         sol = solve_Q(LINEAR_C)
         assert math.isfinite(regularized_Y(sol))
+
+    @pytest.mark.parametrize("case", ["poly-b", "table-abc"])
+    def test_routes_agree_with_large_eps3_term(self, case):
+        # Large 2 b beta^2 / c and a fast-varying table c near tau = 0 give the
+        # bracket a sizeable O(eps^3) term; the Richardson route must remove it.
+        if case == "poly-b":
+            beta = 1.9598783855645927
+            model = CoefficientModel(
+                a=0.07007997001442355,
+                b=poly_coefficient(
+                    [0.9754077052070219, 0.00153631279720085, 0.04102157935032541]
+                ),
+                c=0.8854323781022119,
+                beta=beta,
+            )
+            expected = -1.692888269910918
+        else:
+            beta = 1.405973793337567
+            a = [0.14145623083983516, 0.1495273484943405, 0.14772698799456077,
+                 0.13657638072121697, 0.11930379480487147, 0.10090990305905226,
+                 0.08672001316112635, 0.0808423111686524, 0.08497848000867661]
+            b = [0.6956762757242088, 0.725021913786671, 0.7509126052095152,
+                 0.7718972619253704, 0.7867997629701062, 0.7947848721931379,
+                 0.7954050504955301, 0.7886255389239765, 0.7748263067957658]
+            c = [0.67110429628977, 0.7140384533952981, 0.7903815796530822,
+                 0.8786822410663854, 0.9541290904579953, 0.9955225360726452,
+                 0.9912315534812084, 0.9424618534575737, 0.8629170927994081]
+            model = CoefficientModel(
+                a=_table(beta, a), b=_table(beta, b), c=_table(beta, c), beta=beta
+            )
+            expected = -2.3691608374728133
+        assert regularized_Y(solve_Q(model)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestHarmonicPropagator:
