@@ -4,7 +4,8 @@ Two independent representations of the order-mu term are implemented:
 
 * w_mu — the kappa-sum route: ordered simplex integrals I_{kappa_1..kappa_mu}
   contracted with the nested-derivative recurrence over incomplete Hermite
-  polynomials (exact polynomial algebra, derivatives by index lowering);
+  polynomials (exact polynomial algebra, derivatives by index lowering),
+  summed over all kappa by an O(mu) polynomial-valued recursion;
 * w_mu_direct — the literal xi-derivative route: the degree-4mu Hermite
   polynomial of the generating argument, expanded by order-4 jet (truncated
   Taylor) arithmetic seeded at xi = 1, then simplex quadrature.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -103,18 +104,19 @@ def series_coefficient(mu: int) -> float:
 
 
 def _poly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1))
+    """Product of A (2-D) with each polynomial in B (coefficients on the last two axes)."""
+    out = np.zeros(B.shape[:-2] + (A.shape[0] + B.shape[-2] - 1, A.shape[1] + B.shape[-1] - 1))
     for p in range(A.shape[0]):
         for q in range(A.shape[1]):
             if A[p, q] != 0.0:
-                out[p : p + B.shape[0], q : q + B.shape[1]] += A[p, q] * B
+                out[..., p : p + B.shape[-2], q : q + B.shape[-1]] += A[p, q] * B
     return out
 
 
 def _poly_d_beta(A: np.ndarray) -> np.ndarray:
-    if A.shape[0] == 1:
-        return np.zeros((1, A.shape[1]))
-    return A[1:, :] * np.arange(1, A.shape[0])[:, None]
+    if A.shape[-2] == 1:
+        return np.zeros(A.shape[:-2] + (1, A.shape[-1]))
+    return A[..., 1:, :] * np.arange(1, A.shape[-2])[:, None]
 
 
 def _poly_d_0(A: np.ndarray) -> np.ndarray:
@@ -142,52 +144,39 @@ def h_kappa(kappa: int, boundary: BoundaryData) -> float:
 
 
 def _poly_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    s0, s1 = max(A.shape[0], B.shape[0]), max(A.shape[1], B.shape[1])
-    out = np.zeros((s0, s1))
-    out[: A.shape[0], : A.shape[1]] += A
-    out[: B.shape[0], : B.shape[1]] += B
+    out = np.zeros(np.maximum(A.shape, B.shape))
+    out[..., : A.shape[-2], : A.shape[-1]] += A
+    out[..., : B.shape[-2], : B.shape[-1]] += B
     return out
 
 
-_RECURRENCE_CACHE: dict[tuple, np.ndarray] = {}
+def _operator_step(h: np.ndarray, R: np.ndarray, n_min: int) -> np.ndarray:
+    """O_k R = sum_n (1/(2^n n!)) (d^n_{phi0} h_k)(d^n_{phiB} R), h = h_k.
 
-
-def _recurrence_poly(kv: tuple[int, ...], gamma: float, n_min: int) -> np.ndarray:
-    """Nested-operator polynomial: O_{k1} ... O_{k_{mu-1}} h_{k_mu}.
-
-    n_min=0 gives the full operator O_k R = sum_n (1/(2^n n!))
-    (d^n_{phi0} h_k)(d^n_{phiB} R); n_min=1 drops the n=0 term (the A_k
-    operator of the P1 series).  Derivatives act by exact index lowering on
-    the polynomial coefficients, so the result is exact up to rounding.
+    R holds one polynomial per leading index.  n_min=1 drops the n=0 term
+    (the A_k operator of the P1 series).  Derivatives act by exact index
+    lowering on the polynomial coefficients, so the result is exact up to
+    rounding.
     """
-    key = (kv, gamma, n_min)
-    if key in _RECURRENCE_CACHE:
-        return _RECURRENCE_CACHE[key]
-    if len(kv) == 1:
-        R = _h_kappa_poly(kv[0], gamma)
-    else:
-        dleft = _h_kappa_poly(kv[0], gamma)
-        dR = _recurrence_poly(kv[1:], gamma, n_min)
-        total = None
-        for n in range(5):
-            if n > 0:
-                dleft = _poly_d_0(dleft)
-                dR = _poly_d_beta(dR)
-            if n < n_min:
-                continue
-            piece = _poly_mul(dleft, dR) / (2.0**n * math.factorial(n))
-            total = piece if total is None else _poly_add(total, piece)
-        R = total
-    _RECURRENCE_CACHE[key] = R
-    return R
+    dleft, dR = h, R
+    total = None
+    for n in range(5):
+        if n > 0:
+            dleft = _poly_d_0(dleft)
+            dR = _poly_d_beta(dR)
+        if n < n_min:
+            continue
+        piece = _poly_mul(dleft, dR) / (2.0**n * math.factorial(n))
+        total = piece if total is None else _poly_add(total, piece)
+    return total
 
 
 def d_function(kv, boundary: BoundaryData) -> float:
     """Recurrence value paired with I_kv in the correction series.
 
-    The nested-operator recurrence is evaluated on the reversed index list:
-    the outermost factor (the one receiving the phi0 derivatives) belongs to
-    the innermost (latest-time) integration slot.  This pairing is what the
+    The nested-operator recurrence O_{k_mu} ... O_{k_2} h_{k_1} applies its
+    outermost factor (the one receiving the phi0 derivatives) to the
+    innermost (latest-time) integration slot.  This pairing is what the
     generating-function factorization actually produces — the cross weight
     of a slot pair is I(tau) of the later slot — and it is verified
     numerically against the direct xi-derivative route (w_mu_direct).
@@ -195,7 +184,9 @@ def d_function(kv, boundary: BoundaryData) -> float:
     kv = _check_kv(kv.kappas if isinstance(kv, KappaVector) else kv)
     if len(kv) < 1:
         raise ValueError("d_function needs mu >= 1")
-    R = _recurrence_poly(kv[::-1], boundary.gamma, n_min=0)
+    R = _h_kappa_poly(kv[0], boundary.gamma)
+    for k in kv[1:]:
+        R = _operator_step(_h_kappa_poly(k, boundary.gamma), R, n_min=0)
     return float(polyval2d(boundary.phiB_hat, boundary.phi0_hat, R))
 
 
@@ -205,50 +196,29 @@ def d_function(kv, boundary: BoundaryData) -> float:
 
 
 def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(t_i) = int_{t_i}^{beta} y, via the cubic-spline antiderivative."""
+    """F(t_i) = int_{t_i}^{beta} y (per column), via the cubic-spline antiderivative."""
     anti = CubicSpline(grid, y).antiderivative()
-    return float(anti(grid[-1])) - anti(grid)
+    return anti(grid[-1]) - anti(grid)
 
 
-class _NestedTables:
-    """Per-solution cache of g_kappa = a Q^4 I^kappa and suffix integrals."""
-
-    def __init__(self, solution: OscillatorSolution, model: CoefficientModel):
-        if not solution.q_positive:
-            raise ArithmeticError("nested integrals need Q > 0 on (0, beta]")
-        grid = solution.grid
-        a = np.asarray(model.a(grid), dtype=float)
-        w = a * solution.Q**4
-        c0 = float(model.c(0.0))
-        I = solution.I_of_tau
-        self.grid = grid
-        self.g = []
-        for kappa in range(5):
-            g = np.empty_like(grid)
-            g[1:] = w[1:] * I[1:] ** kappa
-            # a Q^4 I^kappa ~ tau^{4-kappa} at 0; only kappa=4 survives, with
-            # the exact limit a(0) (Q I -> 1/c(0))^4.
-            g[0] = a[0] / c0**4 if kappa == 4 else 0.0
-            self.g.append(g)
-        self._suffix: dict[tuple[int, ...], np.ndarray] = {}
-
-    def suffix(self, kv: tuple[int, ...]) -> np.ndarray:
-        """Array F_kv(t_i) = int_{t_i}^beta g_{k1}(s) F_{kv[1:]}(s) ds."""
-        if not kv:
-            return np.ones_like(self.grid)
-        if kv not in self._suffix:
-            inner = self.suffix(kv[1:])
-            self._suffix[kv] = _cumulative_from_right(self.grid, self.g[kv[0]] * inner)
-        return self._suffix[kv]
-
-
-def _tables(solution: OscillatorSolution, model: CoefficientModel) -> _NestedTables:
-    # Keyed on the model itself: the cache keeps it alive, so a key can never
-    # be reused by another model the way a recycled id() could.
-    tab = solution._nested_cache.get(model)
-    if tab is None:
-        tab = solution._nested_cache[model] = _NestedTables(solution, model)
-    return tab
+def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> list[np.ndarray]:
+    """g_kappa = a Q^4 I^kappa on the grid, kappa = 0..4."""
+    if not solution.q_positive:
+        raise ArithmeticError("nested integrals need Q > 0 on (0, beta]")
+    grid = solution.grid
+    a = np.asarray(model.a(grid), dtype=float)
+    w = a * solution.Q**4
+    c0 = float(model.c(0.0))
+    I = solution.I_of_tau
+    out = []
+    for kappa in range(5):
+        g = np.empty_like(grid)
+        g[1:] = w[1:] * I[1:] ** kappa
+        # a Q^4 I^kappa ~ tau^{4-kappa} at 0; only kappa=4 survives, with
+        # the exact limit a(0) (Q I -> 1/c(0))^4.
+        g[0] = a[0] / c0**4 if kappa == 4 else 0.0
+        out.append(g)
+    return out
 
 
 def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -> float:
@@ -256,7 +226,11 @@ def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -
     kv = _check_kv(kv.kappas if isinstance(kv, KappaVector) else kv)
     if not kv:
         return 1.0
-    return float(_tables(solution, model).suffix(kv)[0])
+    g = _g_table(solution, model)
+    F = np.ones_like(solution.grid)
+    for k in reversed(kv):
+        F = _cumulative_from_right(solution.grid, g[k] * F)
+    return float(F[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +238,43 @@ def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -
 # ---------------------------------------------------------------------------
 
 
-def _kappa_sum(tab: _NestedTables, boundary: BoundaryData, mu: int, n_min: int) -> float:
-    """sum_{kv in [0,4]^mu} I_kv times the nested-operator recurrence of kv.
+def _order_terms(
+    solution: OscillatorSolution,
+    model: CoefficientModel,
+    boundary: BoundaryData,
+    mu_max: int,
+    n_min: int,
+) -> list[float]:
+    """Order-j terms sum_{kv in [0,4]^j} I_kv d_function(kv), j = 1..mu_max, in O(mu_max).
 
-    n_min=0 gives (-4)^mu (4!)^mu sum I_kv scriptD(kv), the order-mu term of
-    W; n_min=1 drops the n=0 operator term, giving the order-mu increment of
-    the P1 series.
+    The nested operators do not depend on tau, so the kappa-sum is the
+    polynomial-valued recursion S_1(t) = int_0^t sum_k g_k h_k and
+    S_j(t) = int_0^t sum_k g_k O_k[S_{j-1}]; the order-j term is S_j(beta)
+    at (phiB_hat, phi0_hat).  S_j is held on the grid with one column per
+    monomial the operators can reach, and each O_k as a matrix on those
+    columns.  n_min=0 gives (-4)^j (4!)^j sum I_kv scriptD(kv), the order-j
+    term of W; n_min=1 (operators A_k) the order-j increment of P1.
     """
-    total = 0.0
-    for kv in product(range(5), repeat=mu):
-        R = _recurrence_poly(kv[::-1], boundary.gamma, n_min)
-        total += float(tab.suffix(kv)[0]) * float(
-            polyval2d(boundary.phiB_hat, boundary.phi0_hat, R)
-        )
-    return total
+    grid = solution.grid
+    G = np.stack(_g_table(solution, model), axis=1)
+    h = [_h_kappa_poly(k, boundary.gamma) for k in range(5)]
+    # Columns of S_1: the monomials of the h_k.
+    p, q = np.nonzero(np.any(np.stack(h) != 0.0, axis=0))
+    integrand = G @ np.stack([hk[p, q] for hk in h])
+    terms = []
+    for j in range(1, mu_max + 1):
+        if j > 1:
+            # Apply each O_k to a basis stack of the current columns; the
+            # monomials it reaches are the columns of S_j.
+            basis = np.zeros((p.size, p.max() + 1, q.max() + 1))
+            basis[np.arange(p.size), p, q] = 1.0
+            images = [_operator_step(hk, basis, n_min) for hk in h]
+            p, q = np.nonzero(np.any(np.stack(images) != 0.0, axis=(0, 1)))
+            integrand = sum(G[:, [k]] * (S @ images[k][:, p, q]) for k in range(5))
+        F = _cumulative_from_right(grid, integrand)
+        S = F[0] - F
+        terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))
+    return terms
 
 
 def w_mu(
@@ -292,7 +289,7 @@ def w_mu(
         raise ValueError(f"mu must lie in [0, {MU_CAP}], got {mu}")
     if mu == 0:
         return 1.0
-    term = _kappa_sum(_tables(solution, model), boundary, mu, n_min=0)
+    term = _order_terms(solution, model, boundary, mu, n_min=0)[-1]
     return term / series_coefficient(mu)
 
 
@@ -445,12 +442,8 @@ def p1_series(
     """
     if not 1 <= mu_max <= MU_CAP:
         raise ValueError(f"mu_max must lie in [1, {MU_CAP}], got {mu_max}")
-    tab = _tables(solution, model)
-    partials = []
-    total = 0.0
-    for mu in range(1, mu_max + 1):
-        total += _kappa_sum(tab, boundary, mu, n_min=1)
-        partials.append(total)
+    partials = list(accumulate(_order_terms(solution, model, boundary, mu_max, n_min=1)))
+    total = partials[-1]
     if return_partials:
         return total, partials
     return total

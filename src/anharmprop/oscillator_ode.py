@@ -139,7 +139,6 @@ class OscillatorSolution:
     # private: antiderivative of the subtracted kernel integrand; spline of Q
     _bracket_anti: CubicSpline | None = None
     _Q_spline: CubicSpline | None = None
-    _nested_cache: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@ boundary polynomials, the two independent W(mu) routes, and the assembled
 propagator breakdown.
 """
 import math
+from collections import defaultdict
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.interpolate import CubicSpline
 
 from anharmprop import (
     CoefficientModel,
@@ -26,11 +28,31 @@ from anharmprop import (
     propagator,
     series_coefficient,
     solve_Q,
+    table_coefficient,
     w_mu,
     w_mu_direct,
 )
+from anharmprop.anharmonic import _h_kappa_poly
 
 REFERENCE = CoefficientModel(a=0.05, b=0.5, c=1.0, beta=1.0)
+HARMONIC = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
+POLY_C = CoefficientModel(
+    a=0.05, b=0.5, c=poly_coefficient([1.0, 0.3, -0.1]), beta=1.3
+)
+TABLE_C = CoefficientModel(
+    a=0.05,
+    b=0.6,
+    c=table_coefficient(
+        np.linspace(0.0, 1.1, 7), [1.0, 1.08, 1.12, 1.05, 0.96, 0.91, 0.95]
+    ),
+    beta=1.1,
+)
+TABLE_B = CoefficientModel(
+    a=0.05,
+    b=table_coefficient(np.linspace(0.0, 1.4, 6), [0.4, 0.55, 0.7, 0.62, 0.48, 0.5]),
+    c=1.0,
+    beta=1.4,
+)
 
 
 def random_model(rng):
@@ -296,3 +318,174 @@ class TestP1Series:
         boundary = make_boundary(sol, 0.3, -0.2)
         with pytest.raises(ValueError):
             p1_series(sol, REFERENCE, boundary, mu_max=0)
+
+
+# ---------------------------------------------------------------------------
+# The 5^mu kappa-enumeration, kept as the reference for the recursion
+# ---------------------------------------------------------------------------
+
+
+def _recurrence_poly(kv, gamma, n_min):
+    """O_{k1} ... O_{k_{mu-1}} h_{k_mu} as {(p, q): coefficient of phiB^p phi0^q}.
+
+    O_k R = sum_{n >= n_min} (1/(2^n n!)) (d^n_{phi0} h_k)(d^n_{phiB} R).
+    """
+
+    def monomials(k):
+        C = _h_kappa_poly(k, gamma)
+        return {(p, q): C[p, q] for p, q in zip(*np.nonzero(C))}
+
+    R = monomials(kv[-1])
+    for k in reversed(kv[:-1]):
+        out = defaultdict(float)
+        for n in range(n_min, 5):
+            weight = 1.0 / (2.0**n * math.factorial(n))
+            for (p1, q1), c1 in monomials(k).items():
+                for (p2, q2), c2 in R.items():
+                    if q1 >= n and p2 >= n:
+                        out[p1 + p2 - n, q1 + q2 - n] += (
+                            weight * c1 * math.perm(q1, n) * c2 * math.perm(p2, n)
+                        )
+        R = out
+    return R
+
+
+def _suffix_tables(solution, model, mu_max):
+    """{kv: int_{0 < s_1 < ... < s_mu < beta} prod_i g_{kv_i}(s_i)} for |kv| <= mu_max,
+    with g_k = a Q^4 I^k, built from the latest slot inward."""
+    grid, I = solution.grid, solution.I_of_tau
+    a = np.asarray(model.a(grid), dtype=float)
+    g = []
+    for k in range(5):
+        gk = np.zeros_like(grid)
+        gk[1:] = a[1:] * solution.Q[1:] ** 4 * I[1:] ** k
+        if k == 4:
+            gk[0] = a[0] / float(model.c(0.0)) ** 4
+        g.append(gk)
+    suffix = {(): np.ones_like(grid)}
+    for mu in range(1, mu_max + 1):
+        for kv in product(range(5), repeat=mu):
+            anti = CubicSpline(grid, g[kv[0]] * suffix[kv[1:]]).antiderivative()
+            suffix[kv] = anti(grid[-1]) - anti(grid)
+    return {kv: float(F[0]) for kv, F in suffix.items() if kv}
+
+
+def _kappa_sum(tables, boundary, mu, n_min):
+    """sum_{kv in [0,4]^mu} I_kv times the recurrence on the reversed kv."""
+    total = 0.0
+    for kv in product(range(5), repeat=mu):
+        R = _recurrence_poly(kv[::-1], boundary.gamma, n_min)
+        value = sum(
+            c * boundary.phiB_hat**p * boundary.phi0_hat**q for (p, q), c in R.items()
+        )
+        total += tables[kv] * value
+    return total
+
+
+class TestRecursionMatchesKappaSum:
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE, HARMONIC, POLY_C, TABLE_C, TABLE_B],
+        ids=["reference", "harmonic", "poly-c", "table-c", "table-b"],
+    )
+    def test_w_mu_and_p1_partials(self, model):
+        sol = solve_Q(model)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        tables = _suffix_tables(sol, model, 4)
+        for mu in range(1, 5):
+            expected = _kappa_sum(tables, boundary, mu, 0) / series_coefficient(mu)
+            assert w_mu(sol, model, boundary, mu) == pytest.approx(
+                expected, rel=1e-9, abs=0.0
+            ), mu
+        _, partials = p1_series(sol, model, boundary, 4, return_partials=True)
+        expected = np.cumsum([_kappa_sum(tables, boundary, mu, 1) for mu in range(1, 5)])
+        assert partials == pytest.approx(list(expected), rel=1e-9, abs=0.0)
+
+
+# float.hex() of outputs recorded before the order terms became a recursion
+# (grid_n = 512, endpoints 0.3, -0.2); the routes below do not use it, so
+# they must not move by a bit.  w_mu_direct is pinned at grid_n = 256.
+PINNED_KVS = [(2,), (0, 4), (1, 3, 2), (4, 0, 2, 1)]
+PINNED_ROUTES = {
+    "reference": (
+        REFERENCE,
+        {
+            "nested_integral": [
+                "0x1.7de078a19dbb9p-10",
+                "0x1.2e0d6f2366ebep-22",
+                "0x1.2973346b5609dp-32",
+                "0x1.06a4e8d6290cep-36",
+            ],
+            "d_function": [
+                "-0x1.3394ce2cd0875p+1",
+                "0x1.348c5a5b0915ep+4",
+                "0x1.1a880682db636p+7",
+                "0x1.0c7caff6b38c1p-11",
+            ],
+            "h_kappa": [
+                "-0x1.b7c91d0ee7546p-11",
+                "-0x1.57c705b285033p-3",
+                "-0x1.3394ce2cd0875p+1",
+                "-0x1.0b11cc78ae968p-1",
+                "-0x1.096bb98c7e27fp-7",
+            ],
+            "w_mu_direct": ["0x1.4d86ce180fa42p-6", "0x1.9e06e86434536p+0"],
+        },
+    ),
+    "table-c": (
+        TABLE_C,
+        {
+            "nested_integral": [
+                "0x1.dd76c3bcc3331p-10",
+                "0x1.cdef3f9cded13p-22",
+                "0x1.202231a13ef60p-31",
+                "0x1.92a298d5d4271p-35",
+            ],
+            "d_function": [
+                "-0x1.3e55e41ac98e7p+1",
+                "0x1.3f0c3617b9e9cp+4",
+                "0x1.9226bceb98bf0p+6",
+                "0x1.a9080a5a9b216p-13",
+            ],
+            "h_kappa": [
+                "-0x1.d8572f100e912p-12",
+                "-0x1.fa6756d0b6d2dp-4",
+                "-0x1.3e55e41ac98e7p+1",
+                "-0x1.0c6c99bdb9bfep-1",
+                "-0x1.096bb98c7e27fp-7",
+            ],
+            "w_mu_direct": ["0x1.9d2f17eb785a4p-6", "0x1.3d4984188295bp+1"],
+        },
+    ),
+}
+
+
+class TestPinnedRoutes:
+    @pytest.mark.parametrize("name", list(PINNED_ROUTES))
+    def test_bit_identical(self, name):
+        model, pinned = PINNED_ROUTES[name]
+        sol = solve_Q(model)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        assert [nested_integral(sol, model, kv).hex() for kv in PINNED_KVS] == pinned[
+            "nested_integral"
+        ]
+        assert [d_function(kv, boundary).hex() for kv in PINNED_KVS] == pinned["d_function"]
+        assert [h_kappa(k, boundary).hex() for k in range(5)] == pinned["h_kappa"]
+        sol = solve_Q(model, 256)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        assert [
+            w_mu_direct(sol, model, boundary, mu).hex() for mu in (1, 2)
+        ] == pinned["w_mu_direct"]
+
+
+class TestGridConvergence:
+    @pytest.mark.parametrize("model", [REFERENCE, TABLE_C], ids=["reference", "table-c"])
+    def test_w_mu_512_vs_2048(self, model):
+        coarse, fine = solve_Q(model, 512), solve_Q(model, 2048)
+        bd_coarse = make_boundary(coarse, 0.3, -0.2)
+        bd_fine = make_boundary(fine, 0.3, -0.2)
+        for mu in range(1, 5):
+            w_fine = w_mu(fine, model, bd_fine, mu)
+            assert w_mu(coarse, model, bd_coarse, mu) == pytest.approx(
+                w_fine, rel=1e-8, abs=0.0
+            ), mu
