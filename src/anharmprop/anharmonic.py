@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_array
 
 from .oscillator_ode import (
     BoundaryData,
@@ -270,9 +271,14 @@ def _order_terms(
             basis[np.arange(p.size), p, q] = 1.0
             images = [_operator_step(hk, basis, n_min) for hk in h]
             p, q = np.nonzero(np.any(np.stack(images) != 0.0, axis=(0, 1)))
-            integrand = sum(G[:, [k]] * (S @ images[k][:, p, q]) for k in range(5))
+            # The O_k are 91-97 % zeros.  As sparse matrices they are applied
+            # in one thread in a fixed order; a dense product would go to
+            # BLAS, whose worker threads stall while another core is busy.
+            # The spline copies less for a C-ordered integrand.
+            O = [csr_array(im[:, p, q].T) for im in images]
+            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, O)).T)
         F = _cumulative_from_right(grid, integrand)
-        S = F[0] - F
+        St = (F[0] - F).T.copy()  # S_j, one row per column
         terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))
     return terms
 
