@@ -33,7 +33,7 @@ from .oscillator_ode import (
     make_boundary,
     solve_Q,
 )
-from .special_fn import hermite2
+from .special_fn import _incomplete_hermite_table, hermite2
 
 __all__ = [
     "KappaVector",
@@ -76,16 +76,23 @@ class KappaVector:
 @dataclass(frozen=True)
 class PropagatorBreakdown:
     """Harmonic factor, per-order corrections and the truncated total, with
-    the ODE solution (Q, f, I on the grid) they were computed from."""
+    the ODE solution (Q, f, I on the grid) and the boundary data they were
+    computed from."""
 
     harmonic_value: float  # exp(exponent) — the Gaussian boundary factor
     f_beta: float
     W_mu_terms: tuple[float, ...]
     series_coefficients: tuple[float, ...]
     total: float
-    p1: float
     truncation_estimate: float
     solution: OscillatorSolution = field(repr=False, compare=False)
+    boundary: BoundaryData = field(repr=False, compare=False)
+
+    @property
+    def p1(self) -> float:
+        """The P1 series to order max(1, mu_max), computed when read."""
+        mu_max = len(self.W_mu_terms) - 1
+        return p1_series(self.solution, self.solution.model, self.boundary, max(1, mu_max))
 
 
 def series_coefficient(mu: int) -> float:
@@ -128,12 +135,7 @@ def _poly_d_0(A: np.ndarray) -> np.ndarray:
 
 def _h_kappa_poly(kappa: int, gamma: float) -> np.ndarray:
     """h_kappa = -4*4! scriptH_{4-kappa,kappa} as a bivariate polynomial."""
-    C = np.zeros((5, 5))
-    for k in range(min(4 - kappa, kappa) + 1):
-        C[4 - kappa - k, kappa - k] = gamma**k / (
-            math.factorial(4 - kappa - k) * math.factorial(k) * math.factorial(kappa - k)
-        )
-    return -4.0 * 24.0 * C
+    return -4.0 * 24.0 * _incomplete_hermite_table(4, kappa, gamma)
 
 
 def h_kappa(kappa: int, boundary: BoundaryData) -> float:
@@ -341,8 +343,9 @@ class _Jet:
         return out
 
 
-def _extrapolate_node0(grid: np.ndarray, y: np.ndarray) -> float:
-    return float(np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0))
+def _extrapolate_node0(grid: np.ndarray, y: np.ndarray):
+    """Quadratic extrapolation of y (per column) from grid nodes 1..3 to node 0."""
+    return np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0)
 
 
 def w_mu_direct(
@@ -376,18 +379,19 @@ def w_mu_direct(
         y[0] = _extrapolate_node0(grid, y)
         return float(_cumulative_from_right(grid, y)[0])
 
-    # mu = 2
+    # mu = 2: column i - 1 holds the inner integrand of the outer node tau_i
+    # (I1 = I(tau_i)), with the inner variable (I2) along the grid axis.
+    I1 = I[None, 1:]
+    I2 = I[1:, None]
+    u = _Jet([p0 * I1 + pB, p0 * I2 + pB])
+    w = _Jet([I1, 2.0 * I2, I2])
+    K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
+    inner = np.empty((grid.size, grid.size - 1))
+    inner[1:] = w4[1:, None] * K
+    inner[0] = _extrapolate_node0(grid, inner)
+    # The inner integral of column i - 1 runs from tau_i to beta.
     outer = np.empty_like(grid)
-    I2 = I.copy()
-    for i in range(1, grid.size):
-        I1 = I[i]
-        u = _Jet([p0 * I1 + pB, p0 * I2[1:] + pB])
-        w = _Jet([np.full(grid.size - 1, I1), 2.0 * I2[1:], I2[1:]])
-        K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
-        row = np.empty_like(grid)
-        row[1:] = w4[1:] * K
-        row[0] = _extrapolate_node0(grid, row)
-        outer[i] = w4[i] * float(_cumulative_from_right(grid, row)[i])
+    outer[1:] = w4[1:] * np.diagonal(_cumulative_from_right(grid, inner), offset=-1)
     outer[0] = _extrapolate_node0(grid, outer)
     return float(_cumulative_from_right(grid, outer)[0])
 
@@ -421,16 +425,15 @@ def propagator(
     series = sum(c * w for c, w in zip(coeffs, terms))
     total = harm_over_sqrt_f * series
     truncation = abs(harm_over_sqrt_f * coeffs[-1] * terms[-1]) if mu_max >= 1 else 0.0
-    p1 = p1_series(solution, model, boundary, mu_max=max(1, mu_max))
     return PropagatorBreakdown(
         harmonic_value=harmonic_value,
         f_beta=f_beta,
         W_mu_terms=tuple(terms),
         series_coefficients=tuple(coeffs),
         total=total,
-        p1=p1,
         truncation_estimate=truncation,
         solution=solution,
+        boundary=boundary,
     )
 
 

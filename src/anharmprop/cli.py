@@ -9,7 +9,7 @@ Subcommands:
 * ``i1``         — tabulate the one-dimensional quartic integral by all three
   methods over coefficient grids.
 * ``table``      — tabulate special functions (pcf, hermite,
-  incomplete-hermite, a-coeff, i1).
+  incomplete-hermite, a-coeff).
 
 Config grammar: flat ``key = value`` lines, ``#`` comments (at the start of
 a line or after whitespace, so ``#`` inside a value such as a path is kept),
@@ -78,13 +78,21 @@ def parse_config(path: str) -> dict[str, str]:
     return cfg
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_coefficient(spec: str, base: Path):
     kind, _, payload = spec.partition(":")
     try:
         if kind == "const":
-            return const_coefficient(float(payload))
+            return const_coefficient(_finite(payload))
         if kind == "poly":
-            return poly_coefficient([float(t) for t in payload.split(",")])
+            return poly_coefficient([_finite(t) for t in payload.split(",")])
         if kind == "table":
             rows = np.loadtxt(base / payload, delimiter=",", ndmin=2)
             return table_coefficient(rows[:, 0], rows[:, 1])
@@ -97,9 +105,9 @@ def _parse_coefficient(spec: str, base: Path):
     )
 
 
-def _get(cfg: dict[str, str], key: str, kind=float, default=None):
-    """cfg[key] converted by `kind` (float, int, str, ...); a missing key gives
-    `default`, or is an error when there is none."""
+def _get(cfg: dict[str, str], key: str, kind=_finite, default=None):
+    """cfg[key] converted by `kind` (a finite float by default, or int, str,
+    ...); a missing key gives `default`, or is an error when there is none."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
@@ -263,9 +271,6 @@ def run_table(args, outdir: Path) -> None:
             for j in range(2 * k + 1)
         ]
         _write_csv(outdir / "a_coeff.csv", ["j", "k", "A_jk"], rows)
-    elif kind == "i1":
-        run_i1(args, outdir)
-        return
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown table kind {kind!r}")
     print(f"wrote {kind} table to {outdir}")
@@ -297,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--kind",
         required=True,
-        choices=["pcf", "hermite", "incomplete-hermite", "a-coeff", "i1"],
+        choices=["pcf", "hermite", "incomplete-hermite", "a-coeff"],
     )
     p_table.add_argument("--nu", type=float, default=-0.5)
     p_table.add_argument("--z", default="1:10:10")
@@ -307,9 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--tau", type=float, default=0.25)
     p_table.add_argument("--phi-beta", type=float, default=0.5)
     p_table.add_argument("--phi-0", type=float, default=0.5)
-    p_table.add_argument("--a", default="1")
-    p_table.add_argument("--b", default="1")
-    p_table.add_argument("--c", default="1")
     return parser
 
 

@@ -303,6 +303,8 @@ def wn_montecarlo(
         raise ValueError(f"wn_montecarlo supports 2 <= N <= 512, got {N}")
     if samples < 10_000:
         raise ValueError(f"samples must be >= 10000, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     phi0, phiN = _endpoints(boundary)
     sm = sliced_model(model, N, phi0, phiN)
     chol, mean, log_z = _bridge_setup(sm)
@@ -352,6 +354,8 @@ def _series_prefactor(sm: SlicedModel) -> float:
 def _series_sum(sm: SlicedModel, cap: int) -> float:
     """The rho/n_i multi-sum for N in {2, 3} with all caps equal to `cap`."""
     N, d = sm.N, sm.delta
+    if N not in (2, 3):
+        raise ValueError(f"wn_series_exact supports N <= 3, got {N}")
     s0 = sm.c[1] * sm.phi0 * math.sqrt(sm.sigma[1]) / d
     t_last = sm.c[N] * sm.phiN * math.sqrt(sm.sigma[N - 1]) / (2.0 * d)
     # scriptD_{-m-1/2}(z_i), m = 0..2 cap, on the interior slices i >= 1
@@ -362,45 +366,26 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
     ]
 
     total = 0.0
-    n0 = np.arange(cap)
+    n = np.arange(cap)
     for rho in (0, 1):
-        A = np.array(
-            [s0 ** (2 * k + rho) / math.factorial(2 * k + rho) for k in n0]
-        )
-        if N == 2:
-            D1 = pcf[1]
-            acc = 0.0
-            for n1 in range(cap):
-                pochs = poch(n1 + rho + 0.5, n0)
-                acc += (
-                    t_last ** (2 * n1 + rho)
-                    / math.factorial(n1)
-                    * float(np.sum(A * pochs * D1[n1 + rho + n0]))
-                )
-            total += acc
-        elif N == 3:
-            D1, D2 = pcf[1], pcf[2]
-            # v1[n1] = sum_{n0} A[n0] poch(n1+rho+1/2, n0) scriptD(z1)[n1+rho+n0]
-            v1 = np.array(
+        # v[n_0] = s0^(2 n_0 + rho) / (2 n_0 + rho)!.  Interior slice i maps it to
+        # v[n_i] = w_i(n_i) / n_i! sum_{n_{i-1}} v[n_{i-1}] (n_i + rho + 1/2)_{n_{i-1}}
+        #          scriptD_{-(n_i + rho + n_{i-1}) - 1/2}(z_i),
+        # with w_i(n) = Sigma_i^(n + rho/2), or t_last^(2n + rho) on the last slice.
+        v = np.array([s0 ** (2 * k + rho) / math.factorial(2 * k + rho) for k in n])
+        for i in range(1, N):
+            v = np.array(
                 [
-                    sm.Sigma[1] ** (n1 + rho / 2.0)
-                    / math.factorial(n1)
-                    * float(np.sum(A * poch(n1 + rho + 0.5, n0) * D1[n1 + rho + n0]))
-                    for n1 in range(cap)
+                    (t_last ** (2 * k + rho) if i == N - 1 else sm.Sigma[i] ** (k + rho / 2.0))
+                    / math.factorial(k)
+                    * float(np.sum(v * poch(k + rho + 0.5, n) * pcf[i][k + rho + n]))
+                    for k in range(cap)
                 ]
             )
-            n1 = np.arange(cap)
-            acc = 0.0
-            for n2 in range(cap):
-                pochs = poch(n2 + rho + 0.5, n1)
-                acc += (
-                    t_last ** (2 * n2 + rho)
-                    / math.factorial(n2)
-                    * float(np.sum(v1 * pochs * D2[n2 + rho + n1]))
-                )
-            total += acc
-        else:
-            raise ValueError(f"wn_series_exact supports N <= 3, got {N}")
+        acc = 0.0
+        for term in v:  # sequential, not np.sum's pairwise order
+            acc += term
+        total += acc
     return total
 
 

@@ -113,8 +113,8 @@ class CoefficientModel:
         object.__setattr__(self, "a", _as_coefficient(self.a))
         object.__setattr__(self, "b", _as_coefficient(self.b))
         object.__setattr__(self, "c", _as_coefficient(self.c))
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         probe = np.linspace(0.0, self.beta, 257)
         if np.any(self.c(probe) <= 0.0):
             raise ValueError("kinetic coefficient c(tau) must be positive on [0, beta]")

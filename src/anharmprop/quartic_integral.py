@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .special_fn import _log_equarter_D, pochhammer
+from .special_fn import _adaptive_sum, _log_equarter_D, pochhammer
 
 __all__ = ["i1_quadrature", "i1_series", "i1_hermite_method"]
 
@@ -58,26 +58,15 @@ def i1_series(
     z = b / s2a
     pref = math.sqrt(math.pi) / (2.0 * a) ** 0.25
 
-    cap = m_max if m_max is not None else 400
-    total = 0.0
-    log_xi = math.log(xi) if xi > 0.0 else None
-    small = 0
-    for m in range(cap + 1):
-        if xi == 0.0 and m > 0:
-            break
-        log_term = (0.0 if m == 0 else m * log_xi) - math.lgamma(m + 1.0)
-        term = math.exp(log_term + _log_equarter_D(m, z))
-        total += term
-        if term <= tol * abs(total):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        if m_max is None:
-            raise ArithmeticError("i1_series did not converge within the term cap")
-    return pref * total
+    if xi == 0.0:
+        m_max = 0  # only the m = 0 term is nonzero
+
+    def term(m: int) -> float:
+        log_term = (0.0 if m == 0 else m * math.log(xi)) - math.lgamma(m + 1.0)
+        return math.exp(log_term + _log_equarter_D(m, z))
+
+    cap = None if m_max is None else m_max + 1
+    return pref * _adaptive_sum(term, tol, cap, "i1_series")
 
 
 def i1_hermite_method(
@@ -107,40 +96,22 @@ def i1_hermite_method(
         )
 
     def inner(mu: int) -> float:
-        total = 0.0
-        small = 0
-        for j in range(400):
-            term = (
+        def term(j: int) -> float:
+            return (
                 t**j
                 / math.factorial(j)
                 * pochhammer(mu + 0.5, j)
                 * math.exp(log_D0(j + mu + 0.5))
             )
-            total += term
-            if abs(term) <= tol * max(1e-300, abs(total)):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-        raise ArithmeticError("i1_hermite_method: inner j-sum did not converge")
+
+        return _adaptive_sum(term, tol, None, "i1_hermite_method: inner j-sum")
 
     x = c * c / s2a
-    cap = mu_max if mu_max is not None else 400
-    total = 0.0
-    small = 0
-    for mu in range(cap + 1):
-        if x == 0.0 and mu > 0:
-            break
-        term = x**mu / math.factorial(2 * mu) * math.exp(gammaln(mu + 0.5)) * inner(mu)
-        total += term
-        if abs(term) <= tol * abs(total):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        if mu_max is None:
-            raise ArithmeticError("i1_hermite_method did not converge within cap")
-    return total / (2.0 * a) ** 0.25
+    if x == 0.0:
+        mu_max = 0  # only the mu = 0 term is nonzero
+
+    def term(mu: int) -> float:
+        return x**mu / math.factorial(2 * mu) * math.exp(gammaln(mu + 0.5)) * inner(mu)
+
+    cap = None if mu_max is None else mu_max + 1
+    return _adaptive_sum(term, tol, cap, "i1_hermite_method") / (2.0 * a) ** 0.25

@@ -21,6 +21,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 from scipy.special import gammaln, hyp2f1, logsumexp
 
 __all__ = [
@@ -210,13 +211,21 @@ def pcf_poincare(nu: float, z: float, J: int) -> tuple[float, float]:
     return value, bound
 
 
-def _taylor_sum(term_fn, t: float, terms: int | None, tol: float, what: str) -> float:
-    """Adaptive sum sum_k coeff_k t^k with a 3-in-a-row Cauchy stop."""
-    cap = terms if terms is not None else 200
+_SUM_CAP = 400  # terms an adaptive sum may take before it counts as not converged
+
+
+def _adaptive_sum(term, tol: float, cap: int | None, what: str) -> float:
+    """sum_k term(k), stopped once three consecutive terms each satisfy
+    |term| <= tol |partial sum| (the Cauchy stop).
+
+    With `cap` the sum is a truncation: it also ends after `cap` terms.
+    Without it, a sum that has not stopped within _SUM_CAP terms raises
+    ArithmeticError.
+    """
     total = 0.0
     small = 0
-    for k in range(cap):
-        inc = term_fn(k) * t**k
+    for k in range(_SUM_CAP if cap is None else cap):
+        inc = term(k)
         total += inc
         if abs(inc) <= tol * max(1e-300, abs(total)):
             small += 1
@@ -224,9 +233,9 @@ def _taylor_sum(term_fn, t: float, terms: int | None, tol: float, what: str) -> 
                 return total
         else:
             small = 0
-    if terms is not None:
+    if cap is not None:
         return total
-    raise ArithmeticError(f"{what}: Cauchy criterion not met within {cap} terms")
+    raise ArithmeticError(f"{what}: Cauchy criterion not met within {_SUM_CAP} terms")
 
 
 def pcf_taylor_shift(
@@ -242,9 +251,9 @@ def pcf_taylor_shift(
     def term(k: int) -> float:
         return pochhammer(nu, k) / math.factorial(k) * math.exp(
             _log_equarter_D(m0 + k, x)
-        )
+        ) * t**k
 
-    return _taylor_sum(term, t, terms, tol, "pcf_taylor_shift")
+    return _adaptive_sum(term, tol, terms, "pcf_taylor_shift")
 
 
 def pcf_taylor_shift_scaled(
@@ -259,9 +268,9 @@ def pcf_taylor_shift_scaled(
         raise ValueError(f"Taylor-shift scaled form needs |t| < 1, got {t}")
 
     def term(k: int) -> float:
-        return pochhammer(nu, k) / math.factorial(k) * pcf_scaled(-nu - k, z)
+        return pochhammer(nu, k) / math.factorial(k) * pcf_scaled(-nu - k, z) * t**k
 
-    return _taylor_sum(term, t, terms, tol, "pcf_taylor_shift_scaled")
+    return _adaptive_sum(term, tol, terms, "pcf_taylor_shift_scaled")
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +305,25 @@ def hermite2(n: int, x, y):
     return total
 
 
+def _incomplete_hermite_table(n: int, kappa: int, gamma: float) -> np.ndarray:
+    """Coefficients C[p, q] of phi_beta^p phi_0^q in scriptH_{n-kappa,kappa}(. | gamma),
+    an (n+1) x (n+1) table."""
+    C = np.zeros((n + 1, n + 1))
+    for k in range(min(n - kappa, kappa) + 1):
+        C[n - kappa - k, kappa - k] = gamma**k / (
+            math.factorial(n - kappa - k) * math.factorial(k) * math.factorial(kappa - k)
+        )
+    return C
+
+
 def incomplete_hermite(spec: HermiteIncompleteSpec, phi_beta: float, phi_0: float) -> float:
     """Modified incomplete Hermite polynomial scriptH_{n-kappa,kappa}(phi_beta, phi_0 | gamma).
 
     scriptH = sum_{k=0}^{min(n-kappa, kappa)} phi_beta^{n-kappa-k} phi_0^{kappa-k}
               gamma^k / ((n-kappa-k)! k! (kappa-k)!).
     """
-    n, kappa, gamma = spec.n, spec.kappa, spec.gamma
-    total = 0.0
-    for k in range(min(n - kappa, kappa) + 1):
-        total += (
-            phi_beta ** (n - kappa - k)
-            * phi_0 ** (kappa - k)
-            * gamma**k
-            / (math.factorial(n - kappa - k) * math.factorial(k) * math.factorial(kappa - k))
-        )
-    return total
+    C = _incomplete_hermite_table(spec.n, spec.kappa, spec.gamma)
+    return float(polyval2d(phi_beta, phi_0, C))
 
 
 def multiindex_hermite(

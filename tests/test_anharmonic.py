@@ -32,6 +32,7 @@ from anharmprop import (
     w_mu,
     w_mu_direct,
 )
+from anharmprop import anharmonic
 from anharmprop.anharmonic import _h_kappa_poly
 
 REFERENCE = CoefficientModel(a=0.05, b=0.5, c=1.0, beta=1.0)
@@ -318,6 +319,23 @@ class TestP1Series:
         boundary = make_boundary(sol, 0.3, -0.2)
         with pytest.raises(ValueError):
             p1_series(sol, REFERENCE, boundary, mu_max=0)
+
+    @pytest.mark.parametrize(
+        "mu_max, pinned",
+        [(0, "-0x1.4d86ce5d91239p-8"), (2, "-0x1.4a6ea26f36fe6p-8"), (4, "-0x1.4a7e01eaaac2fp-8")],
+    )
+    def test_breakdown_p1_computed_on_access(self, monkeypatch, mu_max, pinned):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagator called p1_series")
+
+        monkeypatch.setattr(anharmonic, "p1_series", refuse)
+        br = propagator(REFERENCE, 0.3, -0.2, mu_max=mu_max)
+        monkeypatch.undo()
+        sol = solve_Q(REFERENCE)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        assert br.p1 == p1_series(sol, REFERENCE, boundary, max(1, mu_max))
+        # float.hex() of the value propagator computed eagerly before.
+        assert br.p1.hex() == pinned
 
 
 # ---------------------------------------------------------------------------

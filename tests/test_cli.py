@@ -125,6 +125,25 @@ class TestPropagatorCommand:
         assert rc == 2
         assert f"bad value for {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, bad_line, key",
+        [
+            ("phi0 = 0.3", "phi0 = nan", "phi0"),
+            ("phiN = -0.2", "phiN = -inf", "phiN"),
+            ("beta = 1.0", "beta = inf", "beta"),
+            ("beta = 1.0", "beta = 1e400", "beta"),
+            ("a = const:0.05", "a = const:nan", "const:nan"),
+            ("c = const:1.0", "c = poly:1.0,inf", "poly:1.0,inf"),
+        ],
+        ids=["phi0-nan", "phiN-inf", "beta-inf", "beta-overflow", "const-nan", "poly-inf"],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, line, bad_line, key):
+        cfg = write_cfg(tmp_path / "bad.cfg", SMALL_CFG.replace(line, bad_line))
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "breakdown.csv").exists()
+
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "propagator"]) == 2
 

@@ -144,6 +144,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             wn_montecarlo(REFERENCE, BOUNDARY, 16, 100, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            wn_montecarlo(REFERENCE, BOUNDARY, 16, 20_000, seed=0, workers=workers)
+
 
 class TestSeriesExact:
     @pytest.mark.parametrize("N", [2, 3])
@@ -176,6 +181,21 @@ class TestSeriesExact:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             wn_series_exact(REFERENCE, BOUNDARY, 4)
+
+    @pytest.mark.parametrize(
+        "model, N, pinned",
+        [
+            (REFERENCE, 2, "0x1.4f12c4e903913p-2"),
+            (REFERENCE, 3, "0x1.4b2571bda066fp-2"),
+            (VARYING, 2, "0x1.39aa89c893ce4p-2"),
+            (VARYING, 3, "0x1.342cbbc6e69b2p-2"),
+        ],
+        ids=["constant-2", "constant-3", "varying-2", "varying-3"],
+    )
+    def test_bit_identical(self, model, N, pinned):
+        # float.hex() recorded before the N = 2 and N = 3 branches of the
+        # multi-sum became one loop over interior slices.
+        assert wn_series_exact(model, BOUNDARY, N).hex() == pinned
 
 
 class TestContinuumExtrapolate:

@@ -170,6 +170,11 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             CoefficientModel(a=-0.1, b=0.0, c=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_model_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            CoefficientModel(a=0.0, b=0.0, c=1.0, beta=beta)
+
 
 class TestQSolution:
     def test_constant_coefficients_closed_form(self):

@@ -136,6 +136,34 @@ class TestHermiteMethod:
         assert worst < 1e-9
 
 
+# float.hex() of each route before its adaptive-sum loop was shared: the
+# converged sums, i1_series at m_max=3 and i1_hermite_method at mu_max=2
+# (None where b <= 0 is outside the Hermite route's domain).
+PINNED_I1 = [
+    ((0.3, -0.7, 0.0), ("0x1.16b361ca5df7cp+2", "0x1.16b361ca5df7cp+2", None, None)),
+    ((0.3, -0.7, 1.3), ("0x1.32c2602dde019p+3", "0x1.32514b13db416p+3", None, None)),
+    ((0.3, 0.5, 0.0), ("0x1.e33e1e3be5590p+0", "0x1.e33e1e3be5590p+0",
+                       "0x1.e33e1e3be5588p+0", "0x1.e33e1e3be5588p+0")),
+    ((0.3, 0.5, 1.3), ("0x1.5a136c93215a2p+1", "0x1.5a01c4059a216p+1",
+                       "0x1.5a136c932159ep+1", "0x1.58db07795f2c8p+1")),
+    ((2.5, -0.7, 1.3), ("0x1.0c5623d21c941p+1", "0x1.0c5534ab1fc96p+1", None, None)),
+    ((2.5, 1.5, 0.0), ("0x1.19fdcd56c67c9p+0", "0x1.19fdcd56c67c9p+0",
+                       "0x1.19fdcd56c67c6p+0", "0x1.19fdcd56c67c6p+0")),
+    ((2.5, 1.5, 1.3), ("0x1.3fc25a92f4a3dp+0", "0x1.3fc2133d4e2bcp+0",
+                       "0x1.3fc25a92f4a3bp+0", "0x1.3fb42dffadc05p+0")),
+]
+
+
+@pytest.mark.parametrize("abc, pinned", PINNED_I1, ids=[str(abc) for abc, _ in PINNED_I1])
+def test_series_routes_bit_identical(abc, pinned):
+    got = [i1_series(*abc).hex(), i1_series(*abc, m_max=3).hex()]
+    if abc[1] > 0.0:
+        got += [i1_hermite_method(*abc).hex(), i1_hermite_method(*abc, mu_max=2).hex()]
+    else:
+        got += [None, None]
+    assert tuple(got) == pinned
+
+
 def test_series_tolerates_stiff_coefficients():
     # Strong quartic with a large linear tilt: quadrature stays the anchor.
     a, b, c = 3.0, 0.2, -4.0

@@ -99,6 +99,25 @@ class TestTaylorShift:
         ref = (1.0 - t) ** -nu * pcf_scaled(-nu, z * (1.0 - t))
         assert got == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "args, pinned",
+        [
+            ((0.5, 1.0, 0.3), ("0x1.d730e921efefap-1", "0x1.d72fbb2260f85p-1",
+                               "0x1.d730e921efefap-1", "0x1.d72fbb2260f85p-1")),
+            ((2.5, 3.0, -0.6), ("0x1.fd909cca5049fp-6", "0x1.fdfe4d7728331p-6",
+                                "0x1.0c48c34a68dcep-2", "0x1.5b84af45dff2ep-2")),
+        ],
+    )
+    def test_bit_identical(self, args, pinned):
+        # float.hex() of the converged sums and of the 5-term truncations,
+        # recorded before the adaptive-sum loop was shared with the I1 routes.
+        assert (
+            pcf_taylor_shift(*args).hex(),
+            pcf_taylor_shift(*args, terms=5).hex(),
+            pcf_taylor_shift_scaled(*args).hex(),
+            pcf_taylor_shift_scaled(*args, terms=5).hex(),
+        ) == pinned
+
     @given(
         m=st.integers(0, 3),
         z=st.floats(1.0, 6.0),
