@@ -175,12 +175,25 @@ def run_propagator(cfg: dict[str, str], base: Path, outdir: Path) -> None:
     print(f"truncation_estimate = {_fmt(breakdown.truncation_estimate)}")
 
 
+def _n_list(text: str) -> list[int]:
+    """Slice counts for the oracles: at least 3, none repeated (a repeat makes
+    the polynomial-in-1/N extrapolation rank-deficient), each in 1..512."""
+    ns = [int(tok) for tok in text.split(",")]
+    if not all(1 <= n <= 512 for n in ns) or len(set(ns)) < max(3, len(ns)):
+        raise ValueError(f"need at least 3 N, none repeated, each in 1..512, got {text!r}")
+    return ns
+
+
 def run_compare(cfg: dict[str, str], base: Path, outdir: Path) -> None:
-    model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
-    n_list = _get(cfg, "oracle.N_list", lambda v: [int(tok) for tok in v.split(",")])
+    n_list = _get(cfg, "oracle.N_list", _n_list)
     samples = _get(cfg, "oracle.samples", int, 100000)
     seed = _get(cfg, "oracle.seed", int, 0)
     workers = _get(cfg, "oracle.workers", int, 1)
+    if samples < 10000:
+        raise ConfigError(f"bad value for oracle.samples: {samples} is below 10000")
+    if workers < 1:
+        raise ConfigError(f"bad value for oracle.workers: {workers} is below 1")
+    model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
 
     analytic = propagator(model, phi0, phiN, mu_max=mu_max, grid_n=grid_n).total
     bd = (phi0, phiN)
@@ -219,15 +232,15 @@ def _grid(spec: str) -> list[float]:
     """'lo:hi:n' -> n evenly spaced points; 'v1,v2,...' -> those values."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(tok) for tok in spec.split(",")]
+        return list(np.linspace(_finite(lo), _finite(hi), int(n)))
+    return [_finite(tok) for tok in spec.split(",")]
 
 
 def run_i1(args, outdir: Path) -> None:
     rows = []
-    for a in _grid(args.a):
-        for b in _grid(args.b):
-            for c in _grid(args.c):
+    for a in args.a:
+        for b in args.b:
+            for c in args.c:
                 quad = i1_quadrature(a, b, c)
                 ser = i1_series(a, b, c)
                 herm = i1_hermite_method(a, b, c) if b > 0 else math.nan
@@ -240,14 +253,14 @@ def run_table(args, outdir: Path) -> None:
     kind = args.kind
     if kind == "pcf":
         rows = [
-            [_fmt(args.nu), _fmt(z), _fmt(pcf_scaled(args.nu, z))] for z in _grid(args.z)
+            [_fmt(args.nu), _fmt(z), _fmt(pcf_scaled(args.nu, z))] for z in args.z
         ]
         _write_csv(outdir / "pcf.csv", ["nu", "z", "scriptD"], rows)
     elif kind == "hermite":
         rows = [
             [str(n), _fmt(x), _fmt(hermite(n, x))]
             for n in range(args.n_max + 1)
-            for x in _grid(args.x)
+            for x in args.x
         ]
         _write_csv(outdir / "hermite.csv", ["n", "x", "H_n"], rows)
     elif kind == "incomplete-hermite":
@@ -281,6 +294,18 @@ def run_table(args, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _arg(convert):
+    """`convert` as an argparse type, so a refused value's message is shown."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anharmprop",
@@ -294,9 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("compare", help="analytic vs time-sliced oracles")
 
     p_i1 = sub.add_parser("i1", help="quartic integral by three methods")
-    p_i1.add_argument("--a", default="1", help="grid: lo:hi:n or v1,v2,...")
-    p_i1.add_argument("--b", default="1")
-    p_i1.add_argument("--c", default="1")
+    p_i1.add_argument("--a", type=_arg(_grid), default="1", help="grid: lo:hi:n or v1,v2,...")
+    p_i1.add_argument("--b", type=_arg(_grid), default="1")
+    p_i1.add_argument("--c", type=_arg(_grid), default="1")
 
     p_table = sub.add_parser("table", help="special-function tables")
     p_table.add_argument(
@@ -304,14 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["pcf", "hermite", "incomplete-hermite", "a-coeff"],
     )
-    p_table.add_argument("--nu", type=float, default=-0.5)
-    p_table.add_argument("--z", default="1:10:10")
+    p_table.add_argument("--nu", type=_arg(_finite), default=-0.5)
+    p_table.add_argument("--z", type=_arg(_grid), default="1:10:10")
     p_table.add_argument("--n-max", type=int, default=8)
-    p_table.add_argument("--x", default="-2:2:9")
+    p_table.add_argument("--x", type=_arg(_grid), default="-2:2:9")
     p_table.add_argument("--k-max", type=int, default=6)
-    p_table.add_argument("--tau", type=float, default=0.25)
-    p_table.add_argument("--phi-beta", type=float, default=0.5)
-    p_table.add_argument("--phi-0", type=float, default=0.5)
+    p_table.add_argument("--tau", type=_arg(_finite), default=0.25)
+    p_table.add_argument("--phi-beta", type=_arg(_finite), default=0.5)
+    p_table.add_argument("--phi-0", type=_arg(_finite), default=0.5)
     return parser
 
 

@@ -122,9 +122,10 @@ class CoefficientModel:
             raise ValueError("quartic coefficient a(tau) must be non-negative on [0, beta]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OscillatorSolution:
-    """Gridded Q, f, kernel I and the regularized boundary integral."""
+    """Gridded Q, f, kernel I and the regularized boundary integral, built
+    complete by `solve_Q`; I_of_tau and Y_reg are NaN when not q_positive."""
 
     model: CoefficientModel
     grid: np.ndarray
@@ -136,9 +137,8 @@ class OscillatorSolution:
     Y_reg: float
     q_positive: bool
     richardson: dict = field(default_factory=dict)
-    # private: antiderivative of the subtracted kernel integrand; spline of Q
+    # private: antiderivative of the subtracted kernel integrand
     _bracket_anti: CubicSpline | None = None
-    _Q_spline: CubicSpline | None = None
 
 
 @dataclass(frozen=True)
@@ -268,20 +268,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     f, fdot = fsol[:, 0], fsol[:, 1]
     q_positive = bool(np.all(Q[1:] > 0.0))
 
-    sol = OscillatorSolution(
-        model=model,
-        grid=grid,
-        Q=Q,
-        Qdot=Qdot,
-        f=f,
-        fdot=fdot,
-        I_of_tau=np.full_like(grid, np.nan),
-        Y_reg=math.nan,
-        q_positive=q_positive,
-        richardson={"Q": q_est, "f": f_est},
-    )
-    sol._Q_spline = CubicSpline(grid, Q)
-
+    anti, I_of_tau, Y_reg = None, np.full_like(grid, np.nan), math.nan
     if q_positive:
         c0 = float(model.c(0.0))
         cvals = model.c(grid)
@@ -290,12 +277,24 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         g[1:] = 1.0 / (cvals[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
         # Endpoint refinement: quadratic extrapolation to tau=0.
         g[0] = float(np.polyval(np.polyfit(grid[1:4], g[1:4], 2), 0.0))
-        sol._bracket_anti = CubicSpline(grid, g).antiderivative()
+        anti = CubicSpline(grid, g).antiderivative()
         with np.errstate(divide="ignore"):  # I(0) = +inf
-            sol.I_of_tau = _kernel(sol._bracket_anti, c0, model.beta, grid)
-        sol.I_of_tau[-1] = 0.0
-        sol.Y_reg = _regularized_Y_impl(sol)
-    return sol
+            I_of_tau = _kernel(anti, c0, model.beta, grid)
+        I_of_tau[-1] = 0.0
+        Y_reg = _regularized_Y_impl(anti, c0, model.beta, grid, cvals, Q, I_of_tau)
+    return OscillatorSolution(
+        model=model,
+        grid=grid,
+        Q=Q,
+        Qdot=Qdot,
+        f=f,
+        fdot=fdot,
+        I_of_tau=I_of_tau,
+        Y_reg=Y_reg,
+        q_positive=q_positive,
+        richardson={"Q": q_est, "f": f_est},
+        _bracket_anti=anti,
+    )
 
 
 def solve_f(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
@@ -322,28 +321,22 @@ def kernel_I(solution: OscillatorSolution, tau: float) -> float:
     return float(_kernel(solution._bracket_anti, c0, beta, tau))
 
 
-def _regularized_Y_impl(solution: OscillatorSolution, tol: float = 1e-6) -> float:
-    beta = solution.model.beta
-    c0 = float(solution.model.c(0.0))
-    anti = solution._bracket_anti
+def _regularized_Y_impl(anti, c0, beta, grid, c, Q, I, tol: float = 1e-6) -> float:
+    """Y_reg by two routes from the kernel antiderivative `anti` and the
+    gridded c, Q and I; raises ArithmeticError when the routes disagree."""
     # Route (i): analytic subtraction.  The O(tau) parts of c and Q^2 cancel
     # (Q''(0) = -c'(0)/c(0)), so no finite c'(0) remnant survives.
     route_i = float(anti(beta) - anti(0.0)) - 1.0 / (c0 * beta)
 
-    # Route (ii): evaluate the defining bracket at eps = 8, 4, 2 and 1 grid
-    # intervals (beta 2^{-6..-9} at grid_n = 512) and Richardson-extrapolate.
-    # Below one interval the spline error of Q, amplified by 1/eps^2, would
-    # dominate; tied to the grid, the route converges as grid_n grows.
-    def bracket(eps: float) -> float:
-        q_eps = float(solution._Q_spline(eps))
-        c_eps = float(solution.model.c(eps))
-        return float(_kernel(anti, c0, beta, eps)) - eps / (c_eps * q_eps * q_eps)
-
-    # The bracket approaches its limit with an O(eps) leading error (the
-    # harmonic term in Q's small-tau expansion), plus O(eps^2) and O(eps^3);
-    # eliminate all three.  The eps^3 term grows with 2 b beta^2 / c and with
-    # fast variation of c near tau = 0.
-    r = [bracket(solution.grid[1] * 2.0**j) for j in (3, 2, 1, 0)]
+    # Route (ii): read the defining bracket at the grid nodes eps = 8, 4, 2
+    # and 1 intervals (beta 2^{-6..-9} at grid_n = 512) and Richardson-
+    # extrapolate.  Below one interval an interpolated Q, its error amplified
+    # by 1/eps^2, would dominate; tied to the grid, the route converges as
+    # grid_n grows.  The bracket approaches its limit with an O(eps) leading
+    # error (the harmonic term in Q's small-tau expansion), plus O(eps^2) and
+    # O(eps^3); eliminate all three.  The eps^3 term grows with 2 b beta^2 / c
+    # and with fast variation of c near tau = 0.
+    r = [float(I[i] - grid[i] / (c[i] * Q[i] * Q[i])) for i in (8, 4, 2, 1)]
     for order in (1, 2, 3):
         r = [(2.0**order * fine - coarse) / (2.0**order - 1.0)
              for coarse, fine in zip(r, r[1:])]

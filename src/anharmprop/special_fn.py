@@ -44,13 +44,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PcfIndex:
-    """Index bookkeeping for D_{-m - rho - 1/2 - extra}(z)."""
+    """Index bookkeeping for D_{-m - rho - 1/2 - extra}(z).
+
+    Deprecated: nothing in the package uses it; pass nu = -m-1/2 directly.
+    """
 
     m: int
     rho: int = 0
     extra: int = 0
 
     def __post_init__(self) -> None:
+        warnings.warn(
+            "PcfIndex is deprecated and will be removed; pass nu = -m-1/2 "
+            "to the pcf_* functions directly",
+            DeprecationWarning,
+            stacklevel=3,
+        )
         if self.m < 0:
             raise ValueError(f"m must be non-negative, got {self.m}")
         if self.rho not in (0, 1):
@@ -92,27 +101,29 @@ def pochhammer(x: float, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 # tanh-sinh nodes for int_0^inf, x = exp((pi/2) sinh t), refined by halving h
-# until two consecutive levels agree.  Node tables are cached per level.
-_TS_LEVELS: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+# until two consecutive levels agree.  One read-only table holds the finest
+# level, h = 1/1024; level L = 0..5 (h = 2^-(5+L)) is every 2^(5-L)-th node.
+def _ts_table(h: float) -> np.ndarray:
+    # Asymmetric range: for m=0 the x^{m+1/2} factor decays slowly toward
+    # x -> 0 (t -> -inf), so the lower cut must sit much deeper.
+    t = np.arange(-6.5, 4.5 + 0.5 * h, h)
+    lx = 0.5 * math.pi * np.sinh(t)  # log x at the nodes
+    table = np.stack([lx, lx + np.log(0.5 * math.pi * np.cosh(t))])  # log(x * dx/dt)
+    table.flags.writeable = False
+    return table
 
 
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, float]:
-    if level not in _TS_LEVELS:
-        h = 1.0 / (32 * 2**level)
-        # Asymmetric range: for m=0 the x^{m+1/2} factor decays slowly toward
-        # x -> 0 (t -> -inf), so the lower cut must sit much deeper.
-        t = np.arange(-6.5, 4.5 + 0.5 * h, h)
-        lx = 0.5 * math.pi * np.sinh(t)  # log x at the nodes
-        lw = lx + np.log(0.5 * math.pi * np.cosh(t))  # log(x * dx/dt)
-        _TS_LEVELS[level] = (lx, lw, h)
-    return _TS_LEVELS[level]
+_TS_H = 1.0 / 1024
+_TS_NODES = _ts_table(_TS_H)
 
 
 def _log_half_line_integral(m: int, z: float) -> float:
     """log of int_0^inf x^{m-1/2} exp(-x^2/2 - z x) dx, tanh-sinh in log-space."""
     prev = None
     for level in range(6):
-        lx, lw, h = _ts_nodes(level)
+        stride = 2 ** (5 - level)
+        lx, lw = _TS_NODES[:, ::stride]
+        h = _TS_H * stride
         expo = (m - 0.5) * lx - 0.5 * np.exp(np.minimum(2.0 * lx, 700.0)) \
             - z * np.exp(np.minimum(lx, 350.0)) + lw
         cur = logsumexp(expo) + math.log(h)

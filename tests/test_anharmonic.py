@@ -111,10 +111,11 @@ class TestNestedIntegral:
     @pytest.mark.parametrize("kappa", [0, 1, 2, 3, 4])
     def test_single_vs_quad(self, kappa):
         sol = solve_Q(REFERENCE)
+        q_spline = CubicSpline(sol.grid, sol.Q)
         a0 = 0.05
 
         def g(tau):
-            q = float(sol._Q_spline(tau))
+            q = float(q_spline(tau))
             return a0 * q**4 * kernel_I(sol, tau) ** kappa
 
         ref, _ = quad(g, 1e-9, REFERENCE.beta, limit=200)
@@ -125,11 +126,12 @@ class TestNestedIntegral:
     @pytest.mark.parametrize("kv", [(0, 0), (1, 2), (3, 1), (2, 4)])
     def test_double_vs_dblquad(self, kv):
         sol = solve_Q(REFERENCE)
+        q_spline = CubicSpline(sol.grid, sol.Q)
         a0 = 0.05
         beta = REFERENCE.beta
 
         def g(tau, kappa):
-            q = float(sol._Q_spline(tau))
+            q = float(q_spline(tau))
             return a0 * q**4 * kernel_I(sol, tau) ** kappa
 
         ref, _ = dblquad(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import anharmprop
+from anharmprop import cli
 from anharmprop.cli import ConfigError, main, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -223,6 +224,62 @@ class TestCompareCommand:
         assert methods.count("quadrature") == 4 and methods.count("montecarlo") == 1
         extrap_disc = float(lines[-1].split(",")[-1])
         assert extrap_disc < 1.0  # analytic and extrapolated limits agree
+
+
+    @pytest.mark.parametrize(
+        "oracle, key",
+        [
+            ("N_list = 2,3,4\nsamples = 5000\nworkers = 1", "oracle.samples"),
+            ("N_list = 2,3,4,16\nsamples = 5000\nworkers = 1", "oracle.samples"),
+            ("N_list = 2,3,4\nsamples = 20000\nworkers = 0", "oracle.workers"),
+            ("N_list = 2,3,4,16\nsamples = 20000\nworkers = 0", "oracle.workers"),
+            ("N_list = 2,3\nsamples = 20000", "oracle.N_list"),
+            ("N_list = 2,2,2\nsamples = 20000", "oracle.N_list"),
+            ("N_list = 2,2,3,4\nsamples = 20000", "oracle.N_list"),
+            ("N_list = 0,2,3,4\nsamples = 20000", "oracle.N_list"),
+            ("N_list = 2,3,4,600\nsamples = 20000", "oracle.N_list"),
+        ],
+        ids=["samples", "samples-mc", "workers", "workers-mc", "two-n", "repeated-n",
+             "one-repeat", "n-zero", "n-too-large"],
+    )
+    def test_bad_oracle_config_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, oracle, key
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("compare did work before checking its config")
+
+        monkeypatch.setattr(cli, "propagator", no_work)
+        text = SMALL_CFG.split("[oracle]")[0] + "[oracle]\n" + oracle + "\n"
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "compare"])
+        assert rc == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["i1", "--a", "nan"],
+            ["i1", "--b", "0:inf:3"],
+            ["i1", "--c=1,-inf"],
+            ["table", "--kind", "pcf", "--nu", "nan"],
+            ["table", "--kind", "pcf", "--z", "1,inf"],
+            ["table", "--kind", "hermite", "--x", "nan"],
+            ["table", "--kind", "incomplete-hermite", "--tau", "inf"],
+            ["table", "--kind", "incomplete-hermite", "--phi-beta", "nan"],
+            ["table", "--kind", "incomplete-hermite", "--phi-0=-inf"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_without_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), *argv])
+        assert exc.value.code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestI1Command:

@@ -6,11 +6,13 @@ Closed forms used as oracles:
   - c = 1, b = 0: Q = tau, I(tau) = 1/tau - 1/beta, Y_reg = -1/beta;
   - constant coefficients: Y_reg = -(omega/c) coth(omega beta).
 """
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from anharmprop import (
     BoundaryData,
@@ -27,6 +29,7 @@ from anharmprop import (
     solve_f,
     table_coefficient,
 )
+from anharmprop import oscillator_ode
 
 CONSTANT = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
 LINEAR_C = CoefficientModel(
@@ -256,6 +259,30 @@ class TestQSolution:
             solve_Q(model, grid_n=grid_n)
             counts.append(calls[0])
         assert counts[0] == counts[1] < 50
+
+    def test_one_spline_per_solve(self, monkeypatch):
+        # Route (ii) of Y_reg reads Q at grid nodes; only the subtracted
+        # kernel integrand is splined.
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return CubicSpline(*args, **kwargs)
+
+        monkeypatch.setattr(oscillator_ode, "CubicSpline", counted)
+        solve_Q(PINNED["poly-c"][0], grid_n=128)
+        assert len(builds) == 1
+
+    def test_solution_is_frozen_and_complete(self):
+        sol = solve_Q(LINEAR_C)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.Y_reg = 0.0
+        assert not hasattr(sol, "_Q_spline")
+        assert sol.q_positive and math.isfinite(sol.Y_reg)
+        assert np.all(np.isfinite(sol.I_of_tau[1:]))
+        unstable = solve_Q(CoefficientModel(a=0.0, b=-30.0, c=1.0, beta=2.0))
+        assert not unstable.q_positive and math.isnan(unstable.Y_reg)
+        assert np.all(np.isnan(unstable.I_of_tau)) and unstable._bracket_anti is None
 
 
 class TestFQProportionality:

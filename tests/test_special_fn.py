@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anharmprop import special_fn
 from anharmprop.special_fn import (
     HermiteIncompleteSpec,
+    PcfIndex,
     a_coeff,
     a_sum,
     hermite,
@@ -46,6 +48,31 @@ class TestPcfD:
     def test_rejects_positive_half_orders(self):
         with pytest.raises(ValueError):
             pcf_D(0.5, 1.0)
+
+
+class TestTanhSinhNodes:
+    @pytest.mark.parametrize("level", range(6))
+    def test_level_is_a_strided_view_of_the_finest(self, level):
+        # Level L has step h = 2^-(5+L) on the same t range.
+        h = 1.0 / (32 * 2**level)
+        t = np.arange(-6.5, 4.5 + 0.5 * h, h)
+        lx = 0.5 * math.pi * np.sinh(t)
+        lw = lx + np.log(0.5 * math.pi * np.cosh(t))
+        view = special_fn._TS_NODES[:, :: 2 ** (5 - level)]
+        assert view.shape == (2, t.size)
+        np.testing.assert_array_max_ulp(view[0], lx, maxulp=2)
+        np.testing.assert_array_max_ulp(view[1], lw, maxulp=2)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            special_fn._TS_NODES[0, 0] = 0.0
+
+
+class TestPcfIndexDeprecated:
+    def test_construction_warns(self):
+        with pytest.warns(DeprecationWarning, match="PcfIndex is deprecated"):
+            idx = PcfIndex(2, rho=1)
+        assert idx.nu == -3.5
 
 
 class TestPcfScaled:
