@@ -255,6 +255,9 @@ def _bridge_setup(sm: SlicedModel):
         + 0.5 * float(s @ mean)
         - const
     )
+    # Shared by every worker thread: an in-place write must raise, not race.
+    chol.setflags(write=False)
+    mean.setflags(write=False)
     return chol, mean, log_z
 
 
@@ -274,10 +277,17 @@ def _mc_chunk(sm: SlicedModel, chol: np.ndarray, mean: np.ndarray, seq, count: i
     n = mean.size
     xi = rng.standard_normal((count, n))
     # P = L^T L in upper-banded form => sample = mean + solve(L, xi) with the
-    # upper-triangular banded factor.
-    phi = mean + solve_banded((0, 1), chol, xi.T, check_finite=False).T
-    d = sm.delta
-    logw = -d * (sm.a[1 : sm.N] * phi**4).sum(axis=1)
+    # upper-triangular banded factor.  xi.T is Fortran-ordered, so the solve
+    # overwrites it in place and phi is the C-ordered (count, n) buffer that
+    # every later step reuses; C order keeps the row sums' pairwise order.
+    # (phi^2)^2 rather than phi**4: numpy evaluates the power with libm pow,
+    # which is slow for negative bases.
+    phi = solve_banded((0, 1), chol, xi.T, overwrite_b=True, check_finite=False).T
+    phi += mean
+    np.square(phi, out=phi)
+    np.square(phi, out=phi)
+    phi *= sm.a[1 : sm.N]
+    logw = -sm.delta * phi.sum(axis=1)
     w = np.exp(logw)
     return float(np.sum(w)), float(np.sum(w * w))
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .special_fn import _adaptive_sum, _log_equarter_D, pochhammer
+from .special_fn import adaptive_sum, log_equarter_D, pochhammer
 
 __all__ = ["i1_quadrature", "i1_series", "i1_hermite_method"]
 
@@ -63,10 +63,10 @@ def i1_series(
 
     def term(m: int) -> float:
         log_term = (0.0 if m == 0 else m * math.log(xi)) - math.lgamma(m + 1.0)
-        return math.exp(log_term + _log_equarter_D(m, z))
+        return math.exp(log_term + log_equarter_D(m, z))
 
     cap = None if m_max is None else m_max + 1
-    return pref * _adaptive_sum(term, tol, cap, "i1_series")
+    return pref * adaptive_sum(term, tol, cap, "i1_series")
 
 
 def i1_hermite_method(
@@ -104,7 +104,7 @@ def i1_hermite_method(
                 * math.exp(log_D0(j + mu + 0.5))
             )
 
-        return _adaptive_sum(term, tol, None, "i1_hermite_method: inner j-sum")
+        return adaptive_sum(term, tol, None, "i1_hermite_method: inner j-sum")
 
     x = c * c / s2a
     if x == 0.0:
@@ -114,4 +114,4 @@ def i1_hermite_method(
         return x**mu / math.factorial(2 * mu) * math.exp(gammaln(mu + 0.5)) * inner(mu)
 
     cap = None if mu_max is None else mu_max + 1
-    return _adaptive_sum(term, tol, cap, "i1_hermite_method") / (2.0 * a) ** 0.25
+    return adaptive_sum(term, tol, cap, "i1_hermite_method") / (2.0 * a) ** 0.25

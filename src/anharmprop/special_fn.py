@@ -150,7 +150,7 @@ def _order_to_m(nu: float) -> int:
     return int(m_int)
 
 
-def _log_equarter_D(m: int, z: float) -> float:
+def log_equarter_D(m: int, z: float) -> float:
     """log( e^{z^2/4} D_{-m-1/2}(z) ), stable for all supported arguments."""
     return _log_half_line_integral(m, z) - float(gammaln(m + 0.5))
 
@@ -163,7 +163,7 @@ def pcf_D(nu: float, z: float) -> float:
     uses z < 0 in the double-well case.
     """
     m = _order_to_m(nu)
-    return math.exp(-0.25 * z * z + _log_equarter_D(m, z))
+    return math.exp(-0.25 * z * z + log_equarter_D(m, z))
 
 
 def pcf_scaled(nu: float, z: float) -> float:
@@ -176,7 +176,7 @@ def pcf_scaled(nu: float, z: float) -> float:
     m = _order_to_m(nu)
     if z <= 0.0:
         raise ValueError(f"pcf_scaled requires z > 0, got {z}")
-    ln = (m + 0.5) * math.log(z) + _log_equarter_D(m, z)
+    ln = (m + 0.5) * math.log(z) + log_equarter_D(m, z)
     if ln > 700.0:
         raise OverflowError(f"pcf_scaled overflow for nu={nu}, z={z}")
     return math.exp(ln)
@@ -225,7 +225,7 @@ def pcf_poincare(nu: float, z: float, J: int) -> tuple[float, float]:
 _SUM_CAP = 400  # terms an adaptive sum may take before it counts as not converged
 
 
-def _adaptive_sum(term, tol: float, cap: int | None, what: str) -> float:
+def adaptive_sum(term, tol: float, cap: int | None, what: str) -> float:
     """sum_k term(k), stopped once three consecutive terms each satisfy
     |term| <= tol |partial sum| (the Cauchy stop).
 
@@ -261,10 +261,10 @@ def pcf_taylor_shift(
 
     def term(k: int) -> float:
         return pochhammer(nu, k) / math.factorial(k) * math.exp(
-            _log_equarter_D(m0 + k, x)
+            log_equarter_D(m0 + k, x)
         ) * t**k
 
-    return _adaptive_sum(term, tol, terms, "pcf_taylor_shift")
+    return adaptive_sum(term, tol, terms, "pcf_taylor_shift")
 
 
 def pcf_taylor_shift_scaled(
@@ -281,7 +281,7 @@ def pcf_taylor_shift_scaled(
     def term(k: int) -> float:
         return pochhammer(nu, k) / math.factorial(k) * pcf_scaled(-nu - k, z) * t**k
 
-    return _adaptive_sum(term, tol, terms, "pcf_taylor_shift_scaled")
+    return adaptive_sum(term, tol, terms, "pcf_taylor_shift_scaled")
 
 
 # ---------------------------------------------------------------------------

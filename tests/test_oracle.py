@@ -3,10 +3,12 @@ transfer-matrix quadrature, the Monte Carlo estimator, the exact
 parabolic-cylinder multi-sum, and the continuum extrapolation.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from anharmprop import (
     CoefficientModel,
@@ -15,10 +17,12 @@ from anharmprop import (
     poly_coefficient,
     sliced_model,
     solve_Q,
+    table_coefficient,
     wn_montecarlo,
     wn_quadrature,
     wn_series_exact,
 )
+from anharmprop import oracle
 
 REFERENCE = CoefficientModel(a=0.05, b=0.5, c=1.0, beta=1.0)
 BOUNDARY = (0.3, -0.2)
@@ -28,6 +32,35 @@ VARYING = CoefficientModel(
     c=poly_coefficient([1.0, 0.15]),
     beta=1.1,
 )
+TABLE = CoefficientModel(
+    a=table_coefficient(np.linspace(0.0, 1.2, 5), [0.05, 0.08, 0.03, 0.06, 0.04]),
+    b=poly_coefficient([0.5, -0.1]),
+    c=poly_coefficient([1.0, 0.15]),
+    beta=1.2,
+)
+
+
+def _pow4_montecarlo(model, boundary, N, samples, seed):
+    """wn_montecarlo with the plain phi**4 chunk formula: the same Philox
+    streams, chunking, banded solve and reduction order, but fresh temporaries
+    and libm pow for the quartic term."""
+    sm = sliced_model(model, N, *boundary)
+    chol, mean, log_z = oracle._bridge_setup(sm)
+    n_chunks = (samples + oracle._MC_CHUNK - 1) // oracle._MC_CHUNK
+    seqs = np.random.SeedSequence(seed).spawn(n_chunks)
+    sum_w = sum_w2 = 0.0
+    for k in range(n_chunks):
+        count = min(oracle._MC_CHUNK, samples - k * oracle._MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(seqs[k]))
+        xi = rng.standard_normal((count, mean.size))
+        phi = mean + solve_banded((0, 1), chol, xi.T, check_finite=False).T
+        w = np.exp(-sm.delta * (sm.a[1:N] * phi**4).sum(axis=1))
+        sum_w += float(np.sum(w))
+        sum_w2 += float(np.sum(w * w))
+    mean_w = sum_w / samples
+    stderr = math.sqrt(max(sum_w2 / samples - mean_w**2, 0.0) / samples)
+    z_gauss = math.exp(log_z)
+    return z_gauss * mean_w, z_gauss * stderr
 
 
 class TestSlicedModel:
@@ -120,9 +153,35 @@ class TestMonteCarlo:
         assert r1 == r2
 
     def test_deterministic_across_workers(self):
+        # 150 000 samples span three chunks; four threads on shared read-only
+        # bridge arrays, with frequent thread switches, must reproduce the
+        # serial result bit for bit.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            r4 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 150_000, seed=9, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
         r1 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 150_000, seed=9, workers=1)
-        r4 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 150_000, seed=9, workers=4)
-        assert r1 == r4
+        assert r1[0].hex() == r4[0].hex() and r1[1].hex() == r4[1].hex()
+
+    def test_bridge_arrays_are_read_only(self):
+        chol, mean, _ = oracle._bridge_setup(sliced_model(REFERENCE, 16, *BOUNDARY))
+        for arr in (chol, mean):
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("boundary", [BOUNDARY, (-0.9, 0.8)], ids=["+-", "-+"])
+    @pytest.mark.parametrize("model", [REFERENCE, TABLE], ids=["reference", "table"])
+    def test_kernel_matches_pow4_formula(self, model, boundary, N, seed):
+        # (phi^2)^2 differs from pow(phi, 4) by at most an ulp or two per
+        # element, so the estimate may move only at the rounding level.
+        mean, stderr = wn_montecarlo(model, boundary, N, 20_000, seed=seed)
+        ref_mean, ref_stderr = _pow4_montecarlo(model, boundary, N, 20_000, seed)
+        assert abs(mean - ref_mean) <= 1e-15 * abs(ref_mean)
+        assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
     def test_seed_changes_result(self):
         r1 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 50_000, seed=1)
