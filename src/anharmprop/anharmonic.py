@@ -241,6 +241,42 @@ def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a):
+    for arr in (a.data, a.indices, a.indptr) if isinstance(a, csr_array) else (a,):
+        arr.setflags(write=False)
+    return a
+
+
+def _operator_tables(n_min: int) -> tuple:
+    """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j and the map
+    that gives its integrand, for gamma = 1/4.
+
+    For j = 1 the map is the 5 x m_1 matrix of the h_k at the S_1 columns; for
+    j >= 2 it is the five O_k (A_k for n_min=1) as m_j x m_{j-1} matrices,
+    column i the image under _operator_step of the monomial of column i of
+    S_{j-1}.  The monomials the images reach are the columns of S_j.
+    """
+    h = [_h_kappa_poly(k, 0.25) for k in range(5)]
+    p, q = np.nonzero(np.any(np.stack(h) != 0.0, axis=0))
+    tables = [(p, q, np.stack([hk[p, q] for hk in h]))]
+    for _ in range(2, MU_CAP + 1):
+        basis = np.zeros((p.size, p.max() + 1, q.max() + 1))
+        basis[np.arange(p.size), p, q] = 1.0
+        images = [_operator_step(hk, basis, n_min) for hk in h]
+        p, q = np.nonzero(np.any(np.stack(images) != 0.0, axis=(0, 1)))
+        tables.append((p, q, tuple(_read_only(csr_array(im[:, p, q].T)) for im in images)))
+    for p, q, _ in tables:
+        _read_only(p)
+        _read_only(q)
+    _read_only(tables[0][2])
+    return tuple(tables)
+
+
+# The operators do not depend on the model, the grid or the endpoints.
+_W_TABLES = _operator_tables(n_min=0)
+_P1_TABLES = _operator_tables(n_min=1)
+
+
 def _order_terms(
     solution: OscillatorSolution,
     model: CoefficientModel,
@@ -255,30 +291,26 @@ def _order_terms(
     S_j(t) = int_0^t sum_k g_k O_k[S_{j-1}]; the order-j term is S_j(beta)
     at (phiB_hat, phi0_hat).  S_j is held on the grid with one column per
     monomial the operators can reach, and each O_k as a matrix on those
-    columns.  n_min=0 gives (-4)^j (4!)^j sum I_kv scriptD(kv), the order-j
-    term of W; n_min=1 (operators A_k) the order-j increment of P1.
+    columns (the tables above).  n_min=0 gives (-4)^j (4!)^j sum I_kv
+    scriptD(kv), the order-j term of W; n_min=1 (operators A_k) the order-j
+    increment of P1.
     """
+    if boundary.gamma != 0.25:
+        raise ValueError(f"the series operators are tabulated for gamma = 1/4, got {boundary.gamma}")
+    if mu_max > MU_CAP:
+        raise ValueError(f"order mu={mu_max} exceeds cap {MU_CAP}")
     grid = solution.grid
     G = np.stack(_g_table(solution, model), axis=1)
-    h = [_h_kappa_poly(k, boundary.gamma) for k in range(5)]
-    # Columns of S_1: the monomials of the h_k.
-    p, q = np.nonzero(np.any(np.stack(h) != 0.0, axis=0))
-    integrand = G @ np.stack([hk[p, q] for hk in h])
     terms = []
-    for j in range(1, mu_max + 1):
-        if j > 1:
-            # Apply each O_k to a basis stack of the current columns; the
-            # monomials it reaches are the columns of S_j.
-            basis = np.zeros((p.size, p.max() + 1, q.max() + 1))
-            basis[np.arange(p.size), p, q] = 1.0
-            images = [_operator_step(hk, basis, n_min) for hk in h]
-            p, q = np.nonzero(np.any(np.stack(images) != 0.0, axis=(0, 1)))
+    for j, (p, q, op) in enumerate((_P1_TABLES if n_min else _W_TABLES)[:mu_max], start=1):
+        if j == 1:
+            integrand = G @ op
+        else:
             # The O_k are 91-97 % zeros.  As sparse matrices they are applied
             # in one thread in a fixed order; a dense product would go to
             # BLAS, whose worker threads stall while another core is busy.
             # The spline copies less for a C-ordered integrand.
-            O = [csr_array(im[:, p, q].T) for im in images]
-            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, O)).T)
+            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, op)).T)
         F = _cumulative_from_right(grid, integrand)
         St = (F[0] - F).T.copy()  # S_j, one row per column
         terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))

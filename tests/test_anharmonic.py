@@ -2,6 +2,7 @@
 boundary polynomials, the two independent W(mu) routes, and the assembled
 propagator breakdown.
 """
+import dataclasses
 import math
 from collections import defaultdict
 from itertools import product
@@ -33,7 +34,7 @@ from anharmprop import (
     w_mu_direct,
 )
 from anharmprop import anharmonic
-from anharmprop.anharmonic import _h_kappa_poly
+from anharmprop.anharmonic import MU_CAP, _h_kappa_poly
 
 REFERENCE = CoefficientModel(a=0.05, b=0.5, c=1.0, beta=1.0)
 HARMONIC = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
@@ -420,6 +421,85 @@ class TestRecursionMatchesKappaSum:
         _, partials = p1_series(sol, model, boundary, 4, return_partials=True)
         expected = np.cumsum([_kappa_sum(tables, boundary, mu, 1) for mu in range(1, 5)])
         assert partials == pytest.approx(list(expected), rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The import-time operator tables and the last-order contraction
+# ---------------------------------------------------------------------------
+
+
+def _uncontracted_order_terms(tables, solution, model, boundary, mu_max):
+    """The order terms with S_j formed on the grid at every order and
+    contracted with the boundary monomials after its integral."""
+    grid = solution.grid
+    G = np.stack(anharmonic._g_table(solution, model), axis=1)
+    terms = []
+    for j, (p, q, op) in enumerate(tables[:mu_max], start=1):
+        if j == 1:
+            integrand = G @ op
+        else:
+            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, op)).T)
+        anti = CubicSpline(grid, integrand).antiderivative()
+        F = anti(grid[-1]) - anti(grid)
+        St = (F[0] - F).T.copy()
+        terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))
+    return terms
+
+
+TABLES = {0: anharmonic._W_TABLES, 1: anharmonic._P1_TABLES}
+
+
+class TestOperatorTables:
+    def test_refuse_in_place_writes(self):
+        for tables in TABLES.values():
+            arrays = [tables[0][2]]
+            for p, q, op in tables:
+                arrays += [p, q]
+                if not isinstance(op, np.ndarray):
+                    arrays += [a for Ok in op for a in (Ok.data, Ok.indices, Ok.indptr)]
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 1
+
+    def test_refuse_other_gamma_and_orders_past_cap(self):
+        sol = solve_Q(REFERENCE)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        other = dataclasses.replace(boundary, gamma=0.3)
+        for n_min in (0, 1):
+            with pytest.raises(ValueError, match="gamma"):
+                anharmonic._order_terms(sol, REFERENCE, other, 2, n_min)
+            with pytest.raises(ValueError, match="cap"):
+                anharmonic._order_terms(sol, REFERENCE, boundary, MU_CAP + 1, n_min)
+        for mu in range(1, MU_CAP + 1):
+            with pytest.raises(ValueError, match="gamma"):
+                w_mu(sol, REFERENCE, other, mu)
+        with pytest.raises(ValueError):
+            w_mu(sol, REFERENCE, boundary, MU_CAP + 1)
+        with pytest.raises(ValueError, match="gamma"):
+            p1_series(sol, REFERENCE, other, 2)
+        # The boundary polynomials themselves take any gamma.
+        assert h_kappa(2, other) != h_kappa(2, boundary)
+        assert d_function((2, 1), other) != d_function((2, 1), boundary)
+
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE, HARMONIC, POLY_C, TABLE_C, TABLE_B],
+        ids=["reference", "harmonic", "poly-c", "table-c", "table-b"],
+    )
+    def test_order_terms_match_uncontracted(self, model):
+        sol = solve_Q(model)
+        boundary = make_boundary(sol, 0.3, -0.2)
+        for mu in range(1, MU_CAP + 1):
+            expected = _uncontracted_order_terms(TABLES[0], sol, model, boundary, mu)
+            got = w_mu(sol, model, boundary, mu)
+            assert got == pytest.approx(
+                expected[-1] / series_coefficient(mu), rel=1e-13, abs=0.0
+            ), mu
+        expected = np.cumsum(
+            _uncontracted_order_terms(TABLES[1], sol, model, boundary, MU_CAP)
+        )
+        _, partials = p1_series(sol, model, boundary, MU_CAP, return_partials=True)
+        assert partials == pytest.approx(list(expected), rel=1e-13, abs=0.0)
 
 
 # float.hex() of outputs recorded before the order terms became a recursion
