@@ -296,24 +296,35 @@ def _order_terms(
     increment of P1.
     """
     if boundary.gamma != 0.25:
-        raise ValueError(f"the series operators are tabulated for gamma = 1/4, got {boundary.gamma}")
+        raise ValueError(f"the series operators exist for gamma = 1/4 only, got {boundary.gamma}")
     if mu_max > MU_CAP:
         raise ValueError(f"order mu={mu_max} exceeds cap {MU_CAP}")
     grid = solution.grid
     G = np.stack(_g_table(solution, model), axis=1)
+    # The O_k are 91-97 % zeros.  As sparse matrices they are applied in
+    # one thread in a fixed order, and the contraction of O_k^T v with
+    # S_{j-1} is a plain einsum: a dense product would go to BLAS, whose
+    # worker threads stall while another core is busy.
     terms = []
     for j, (p, q, op) in enumerate((_P1_TABLES if n_min else _W_TABLES)[:mu_max], start=1):
+        v = boundary.phiB_hat**p * boundary.phi0_hat**q
+        if j == mu_max:
+            # Only S_j(beta) . v is needed: contract with v before the product
+            # and the integral, so the last spline has one column.
+            if j == 1:
+                y = G @ op @ v
+            else:
+                y = sum(g * np.einsum("i,it->t", Ok.T @ v, St) for g, Ok in zip(G.T, op))
+            terms.append(float(_cumulative_from_right(grid, y)[0]))
+            break
         if j == 1:
             integrand = G @ op
         else:
-            # The O_k are 91-97 % zeros.  As sparse matrices they are applied
-            # in one thread in a fixed order; a dense product would go to
-            # BLAS, whose worker threads stall while another core is busy.
             # The spline copies less for a C-ordered integrand.
             integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, op)).T)
         F = _cumulative_from_right(grid, integrand)
         St = (F[0] - F).T.copy()  # S_j, one row per column
-        terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))
+        terms.append(float(F[0] @ v))
     return terms
 
 
