@@ -48,7 +48,6 @@ from .oscillator_ode import (
 from .quartic_integral import i1_hermite_method, i1_quadrature, i1_series
 from .special_fn import (
     HermiteIncompleteSpec,
-    PcfIndex,
     a_coeff,
     a_sum,
     hermite,

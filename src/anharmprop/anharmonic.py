@@ -29,8 +29,10 @@ from .oscillator_ode import (
     BoundaryData,
     CoefficientModel,
     OscillatorSolution,
+    extrapolate_node0,
     harmonic_propagator,
     make_boundary,
+    require_kernel,
     solve_Q,
 )
 from .special_fn import _incomplete_hermite_table, hermite2
@@ -146,20 +148,13 @@ def h_kappa(kappa: int, boundary: BoundaryData) -> float:
     return float(polyval2d(boundary.phiB_hat, boundary.phi0_hat, C))
 
 
-def _poly_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.maximum(A.shape, B.shape))
-    out[..., : A.shape[-2], : A.shape[-1]] += A
-    out[..., : B.shape[-2], : B.shape[-1]] += B
-    return out
-
-
 def _operator_step(h: np.ndarray, R: np.ndarray, n_min: int) -> np.ndarray:
     """O_k R = sum_n (1/(2^n n!)) (d^n_{phi0} h_k)(d^n_{phiB} R), h = h_k.
 
     R holds one polynomial per leading index.  n_min=1 drops the n=0 term
     (the A_k operator of the P1 series).  Derivatives act by exact index
     lowering on the polynomial coefficients, so the result is exact up to
-    rounding.
+    rounding.  The pieces shrink with n, so each is added into the first.
     """
     dleft, dR = h, R
     total = None
@@ -170,7 +165,10 @@ def _operator_step(h: np.ndarray, R: np.ndarray, n_min: int) -> np.ndarray:
         if n < n_min:
             continue
         piece = _poly_mul(dleft, dR) / (2.0**n * math.factorial(n))
-        total = piece if total is None else _poly_add(total, piece)
+        if total is None:
+            total = piece
+        else:
+            total[..., : piece.shape[-2], : piece.shape[-1]] += piece
     return total
 
 
@@ -204,24 +202,20 @@ def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
     return anti(grid[-1]) - anti(grid)
 
 
-def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> list[np.ndarray]:
-    """g_kappa = a Q^4 I^kappa on the grid, kappa = 0..4."""
-    if not solution.q_positive:
-        raise ArithmeticError("nested integrals need Q > 0 on (0, beta]")
+def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> np.ndarray:
+    """g_kappa = a Q^4 I^kappa on the grid, one row per kappa = 0..4."""
+    require_kernel(solution)
     grid = solution.grid
     a = np.asarray(model.a(grid), dtype=float)
     w = a * solution.Q**4
-    c0 = float(model.c(0.0))
     I = solution.I_of_tau
-    out = []
+    g = np.zeros((5, grid.size))
     for kappa in range(5):
-        g = np.empty_like(grid)
-        g[1:] = w[1:] * I[1:] ** kappa
-        # a Q^4 I^kappa ~ tau^{4-kappa} at 0; only kappa=4 survives, with
-        # the exact limit a(0) (Q I -> 1/c(0))^4.
-        g[0] = a[0] / c0**4 if kappa == 4 else 0.0
-        out.append(g)
-    return out
+        g[kappa, 1:] = w[1:] * I[1:] ** kappa
+    # a Q^4 I^kappa ~ tau^{4-kappa} at 0; only kappa=4 survives, with the
+    # exact limit a(0) (Q I -> 1/c(0))^4.
+    g[4, 0] = a[0] / float(model.c(0.0)) ** 4
+    return g
 
 
 def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -> float:
@@ -249,26 +243,25 @@ def _read_only(a):
 
 def _operator_tables(n_min: int) -> tuple:
     """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j and the map
-    that gives its integrand, for gamma = 1/4.
+    from the integrand pieces of order j to S_j's columns, for gamma = 1/4.
 
-    For j = 1 the map is the 5 x m_1 matrix of the h_k at the S_1 columns; for
-    j >= 2 it is the five O_k (A_k for n_min=1) as m_j x m_{j-1} matrices,
-    column i the image under _operator_step of the monomial of column i of
-    S_{j-1}.  The monomials the images reach are the columns of S_j.
+    The recursion starts from S_0 = 1, the single monomial column (0, 0).
+    The map is the five O_k (A_k for n_min=1) side by side, one m_j x 5m_{j-1}
+    matrix whose column k m_{j-1} + i is the image under _operator_step of
+    the monomial of column i of S_{j-1}.  Order 1 applies the full operators
+    for both series (the innermost factor of P1 is h_k).  The monomials the
+    images reach are the columns of S_j.
     """
     h = [_h_kappa_poly(k, 0.25) for k in range(5)]
-    p, q = np.nonzero(np.any(np.stack(h) != 0.0, axis=0))
-    tables = [(p, q, np.stack([hk[p, q] for hk in h]))]
-    for _ in range(2, MU_CAP + 1):
+    p = q = np.zeros(1, dtype=np.intp)
+    tables = []
+    for j in range(1, MU_CAP + 1):
         basis = np.zeros((p.size, p.max() + 1, q.max() + 1))
         basis[np.arange(p.size), p, q] = 1.0
-        images = [_operator_step(hk, basis, n_min) for hk in h]
-        p, q = np.nonzero(np.any(np.stack(images) != 0.0, axis=(0, 1)))
-        tables.append((p, q, tuple(_read_only(csr_array(im[:, p, q].T)) for im in images)))
-    for p, q, _ in tables:
-        _read_only(p)
-        _read_only(q)
-    _read_only(tables[0][2])
+        images = np.stack([_operator_step(hk, basis, n_min if j > 1 else 0) for hk in h])
+        p, q = np.nonzero(np.any(images != 0.0, axis=(0, 1)))
+        op = csr_array(images[:, :, p, q].transpose(2, 0, 1).reshape(p.size, -1))
+        tables.append((_read_only(p), _read_only(q), _read_only(op)))
     return tuple(tables)
 
 
@@ -287,43 +280,38 @@ def _order_terms(
     """Order-j terms sum_{kv in [0,4]^j} I_kv d_function(kv), j = 1..mu_max, in O(mu_max).
 
     The nested operators do not depend on tau, so the kappa-sum is the
-    polynomial-valued recursion S_1(t) = int_0^t sum_k g_k h_k and
-    S_j(t) = int_0^t sum_k g_k O_k[S_{j-1}]; the order-j term is S_j(beta)
-    at (phiB_hat, phi0_hat).  S_j is held on the grid with one column per
-    monomial the operators can reach, and each O_k as a matrix on those
-    columns (the tables above).  n_min=0 gives (-4)^j (4!)^j sum I_kv
-    scriptD(kv), the order-j term of W; n_min=1 (operators A_k) the order-j
-    increment of P1.
+    polynomial-valued recursion S_0 = 1, S_j(t) = int_0^t sum_k g_k O_k[S_{j-1}];
+    the order-j term is S_j(beta) at (phiB_hat, phi0_hat).  S_j is held on
+    the grid with one column per monomial the operators can reach, and the
+    five O_k side by side as one matrix on those columns (the tables above).
+    n_min=0 gives (-4)^j (4!)^j sum I_kv scriptD(kv), the order-j term of W;
+    n_min=1 (operators A_k past order 1) the order-j increment of P1.
     """
     if boundary.gamma != 0.25:
         raise ValueError(f"the series operators exist for gamma = 1/4 only, got {boundary.gamma}")
     if mu_max > MU_CAP:
         raise ValueError(f"order mu={mu_max} exceeds cap {MU_CAP}")
     grid = solution.grid
-    G = np.stack(_g_table(solution, model), axis=1)
-    # The O_k are 91-97 % zeros.  As sparse matrices they are applied in
-    # one thread in a fixed order, and the contraction of O_k^T v with
-    # S_{j-1} is a plain einsum: a dense product would go to BLAS, whose
-    # worker threads stall while another core is busy.
+    G = _g_table(solution, model)
+    S = np.ones((1, grid.size))
+    # The operators are 80-97 % zeros.  As a sparse matrix they are applied
+    # in one thread in a fixed order, and the last contraction is a plain
+    # einsum: a dense product would go to BLAS, whose worker threads stall
+    # while another core is busy.
     terms = []
     for j, (p, q, op) in enumerate((_P1_TABLES if n_min else _W_TABLES)[:mu_max], start=1):
         v = boundary.phiB_hat**p * boundary.phi0_hat**q
         if j == mu_max:
             # Only S_j(beta) . v is needed: contract with v before the product
             # and the integral, so the last spline has one column.
-            if j == 1:
-                y = G @ op @ v
-            else:
-                y = sum(g * np.einsum("i,it->t", Ok.T @ v, St) for g, Ok in zip(G.T, op))
+            U = (op.T @ v).reshape(5, -1)
+            y = np.einsum("kt,ki,it->t", G, U, S)
             terms.append(float(_cumulative_from_right(grid, y)[0]))
             break
-        if j == 1:
-            integrand = G @ op
-        else:
-            # The spline copies less for a C-ordered integrand.
-            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, op)).T)
+        # The spline copies less for a C-ordered integrand.
+        integrand = np.ascontiguousarray((op @ (G[:, None, :] * S).reshape(-1, grid.size)).T)
         F = _cumulative_from_right(grid, integrand)
-        St = (F[0] - F).T.copy()  # S_j, one row per column
+        S = (F[0] - F).T.copy()  # S_j, one row per column
         terms.append(float(F[0] @ v))
     return terms
 
@@ -386,11 +374,6 @@ class _Jet:
         return out
 
 
-def _extrapolate_node0(grid: np.ndarray, y: np.ndarray):
-    """Quadratic extrapolation of y (per column) from grid nodes 1..3 to node 0."""
-    return np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0)
-
-
 def w_mu_direct(
     solution: OscillatorSolution,
     model: CoefficientModel,
@@ -407,8 +390,7 @@ def w_mu_direct(
     """
     if mu not in (1, 2):
         raise ValueError(f"w_mu_direct supports mu in {{1, 2}}, got {mu}")
-    if not solution.q_positive:
-        raise ArithmeticError("w_mu_direct needs Q > 0 on (0, beta]")
+    require_kernel(solution)
     grid = solution.grid
     a = np.asarray(model.a(grid), dtype=float)
     w4 = a * solution.Q**4
@@ -419,7 +401,7 @@ def w_mu_direct(
         y = np.empty_like(grid)
         u = p0 * I[1:] + pB
         y[1:] = w4[1:] * hermite2(4, 2.0 * u, I[1:])
-        y[0] = _extrapolate_node0(grid, y)
+        y[0] = extrapolate_node0(grid, y)
         return float(_cumulative_from_right(grid, y)[0])
 
     # mu = 2: column i - 1 holds the inner integrand of the outer node tau_i
@@ -431,11 +413,11 @@ def w_mu_direct(
     K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
     inner = np.empty((grid.size, grid.size - 1))
     inner[1:] = w4[1:, None] * K
-    inner[0] = _extrapolate_node0(grid, inner)
+    inner[0] = extrapolate_node0(grid, inner)
     # The inner integral of column i - 1 runs from tau_i to beta.
     outer = np.empty_like(grid)
     outer[1:] = w4[1:] * np.diagonal(_cumulative_from_right(grid, inner), offset=-1)
-    outer[0] = _extrapolate_node0(grid, outer)
+    outer[0] = extrapolate_node0(grid, outer)
     return float(_cumulative_from_right(grid, outer)[0])
 
 

@@ -250,6 +250,11 @@ def _solve_systems(model: CoefficientModel, grid: np.ndarray) -> dict:
     return out
 
 
+def extrapolate_node0(grid: np.ndarray, y: np.ndarray):
+    """Quadratic extrapolation of y (per column) from grid nodes 1..3 to node 0."""
+    return np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0)
+
+
 def _kernel(anti, c0: float, beta: float, tau):
     """I(tau) from the antiderivative of 1/(c Q^2) - 1/(c0 s^2) plus the exact
     integral of the subtracted 1/(c0 s^2); tau may be a scalar or an array."""
@@ -275,8 +280,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         # Subtracted kernel integrand: 1/(c Q^2) - 1/(c0 tau^2), finite at 0.
         g = np.empty_like(grid)
         g[1:] = 1.0 / (cvals[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
-        # Endpoint refinement: quadratic extrapolation to tau=0.
-        g[0] = float(np.polyval(np.polyfit(grid[1:4], g[1:4], 2), 0.0))
+        g[0] = extrapolate_node0(grid, g)
         anti = CubicSpline(grid, g).antiderivative()
         with np.errstate(divide="ignore"):  # I(0) = +inf
             I_of_tau = _kernel(anti, c0, model.beta, grid)
@@ -302,7 +306,8 @@ def solve_f(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     return solve_Q(model, grid_n)
 
 
-def _require_kernel(solution: OscillatorSolution) -> None:
+def require_kernel(solution: OscillatorSolution) -> None:
+    """Raise ArithmeticError unless Q > 0 on (0, beta], where I(tau) exists."""
     if not solution.q_positive:
         raise ArithmeticError(
             "Q(tau) has a zero in (0, beta]; kernel-dependent quantities are undefined"
@@ -311,7 +316,7 @@ def _require_kernel(solution: OscillatorSolution) -> None:
 
 def kernel_I(solution: OscillatorSolution, tau: float) -> float:
     """I(tau) = int_tau^beta ds / (c(s) Q(s)^2); diverges as tau -> 0."""
-    _require_kernel(solution)
+    require_kernel(solution)
     beta = solution.model.beta
     if not 0.0 < tau <= beta:
         raise ValueError(f"kernel_I needs 0 < tau <= beta (I diverges at 0), got {tau}")
@@ -352,7 +357,7 @@ def _regularized_Y_impl(anti, c0, beta, grid, c, Q, I, tol: float = 1e-6) -> flo
 
 def regularized_Y(solution: OscillatorSolution) -> float:
     """The eps->0 limit of int_eps^beta 1/(cQ^2) - eps/(c(eps)Q(eps)^2)."""
-    _require_kernel(solution)
+    require_kernel(solution)
     return solution.Y_reg
 
 
@@ -365,7 +370,7 @@ def harmonic_propagator(
                - (Qdot(beta)/Q(beta)) c(beta) phiB^2 / 2
     prefactor = 1/sqrt(f(beta)); value = prefactor * exp(exponent).
     """
-    _require_kernel(solution)
+    require_kernel(solution)
     f_beta = float(solution.f[-1])
     if f_beta <= 0.0:
         raise ArithmeticError(f"f(beta) = {f_beta} <= 0: caustic/instability")

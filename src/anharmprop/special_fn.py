@@ -25,7 +25,6 @@ from numpy.polynomial.polynomial import polyval2d
 from scipy.special import gammaln, hyp2f1, logsumexp
 
 __all__ = [
-    "PcfIndex",
     "HermiteIncompleteSpec",
     "pcf_D",
     "pcf_scaled",
@@ -40,37 +39,6 @@ __all__ = [
     "a_sum",
     "pochhammer",
 ]
-
-
-@dataclass(frozen=True)
-class PcfIndex:
-    """Index bookkeeping for D_{-m - rho - 1/2 - extra}(z).
-
-    Deprecated: nothing in the package uses it; pass nu = -m-1/2 directly.
-    """
-
-    m: int
-    rho: int = 0
-    extra: int = 0
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "PcfIndex is deprecated and will be removed; pass nu = -m-1/2 "
-            "to the pcf_* functions directly",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if self.m < 0:
-            raise ValueError(f"m must be non-negative, got {self.m}")
-        if self.rho not in (0, 1):
-            raise ValueError(f"rho must be 0 or 1, got {self.rho}")
-        if self.extra < 0:
-            raise ValueError(f"extra must be non-negative, got {self.extra}")
-
-    @property
-    def nu(self) -> float:
-        """Effective (strictly negative) order of the D function."""
-        return -self.m - self.rho - 0.5 - self.extra
 
 
 @dataclass(frozen=True)

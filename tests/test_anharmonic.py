@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_array
 
 from anharmprop import (
     CoefficientModel,
@@ -246,6 +247,30 @@ class TestWmuRoutes:
             w_mu_direct(sol, REFERENCE, boundary, 3)
 
 
+CAUSTIC = CoefficientModel(a=0.05, b=-30.0, c=1.0, beta=2.0)
+
+
+class TestCausticRefused:
+    # Q = sin(sqrt(60) tau)/sqrt(60) vanishes inside (0, beta], so the
+    # kernel I and every series term built on it are undefined.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sol, bd: w_mu(sol, CAUSTIC, bd, 1),
+            lambda sol, bd: p1_series(sol, CAUSTIC, bd, 1),
+            lambda sol, bd: nested_integral(sol, CAUSTIC, (1,)),
+            lambda sol, bd: w_mu_direct(sol, CAUSTIC, bd, 1),
+            lambda sol, bd: propagator(CAUSTIC, 0.3, -0.2),
+        ],
+        ids=["w_mu", "p1_series", "nested_integral", "w_mu_direct", "propagator"],
+    )
+    def test_raises(self, call):
+        sol = solve_Q(CAUSTIC)
+        assert not sol.q_positive
+        with pytest.raises(ArithmeticError, match="Q\\(tau\\) has a zero"):
+            call(sol, make_boundary(sol, 0.3, -0.2))
+
+
 class TestPropagator:
     def test_total_assembly(self):
         br = propagator(REFERENCE, 0.3, -0.2, mu_max=2)
@@ -434,16 +459,14 @@ def _uncontracted_order_terms(tables, solution, model, boundary, mu_max):
     """The order terms with S_j formed on the grid at every order and
     contracted with the boundary monomials after its integral."""
     grid = solution.grid
-    G = np.stack(anharmonic._g_table(solution, model), axis=1)
+    G = anharmonic._g_table(solution, model)
+    S = np.ones((1, grid.size))
     terms = []
-    for j, (p, q, op) in enumerate(tables[:mu_max], start=1):
-        if j == 1:
-            integrand = G @ op
-        else:
-            integrand = np.ascontiguousarray(sum(g * (Ok @ St) for g, Ok in zip(G.T, op)).T)
+    for p, q, op in tables[:mu_max]:
+        integrand = (op @ (G[:, None, :] * S).reshape(-1, grid.size)).T
         anti = CubicSpline(grid, integrand).antiderivative()
         F = anti(grid[-1]) - anti(grid)
-        St = (F[0] - F).T.copy()
+        S = (F[0] - F).T
         terms.append(float(F[0] @ (boundary.phiB_hat**p * boundary.phi0_hat**q)))
     return terms
 
@@ -452,13 +475,22 @@ TABLES = {0: anharmonic._W_TABLES, 1: anharmonic._P1_TABLES}
 
 
 class TestOperatorTables:
+    @pytest.mark.parametrize("n_min, columns", [(0, [9, 25, 49, 81]), (1, [9, 16, 25, 36])])
+    def test_one_operator_per_order(self, n_min, columns):
+        # S_0 = 1 has one column; order j maps the five pieces g_k S_{j-1}
+        # side by side onto the columns of S_j.
+        assert [p.size for p, _, _ in TABLES[n_min]] == columns
+        m = 1
+        for p, q, op in TABLES[n_min]:
+            assert isinstance(op, csr_array)
+            assert op.shape == (p.size, 5 * m) and q.shape == p.shape
+            m = p.size
+
     def test_refuse_in_place_writes(self):
         for tables in TABLES.values():
-            arrays = [tables[0][2]]
+            arrays = []
             for p, q, op in tables:
-                arrays += [p, q]
-                if not isinstance(op, np.ndarray):
-                    arrays += [a for Ok in op for a in (Ok.data, Ok.indices, Ok.indptr)]
+                arrays += [p, q, op.data, op.indices, op.indptr]
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[0] = 1

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from anharmprop import special_fn
 from anharmprop.special_fn import (
     HermiteIncompleteSpec,
-    PcfIndex,
     a_coeff,
     a_sum,
     hermite,
@@ -66,13 +65,6 @@ class TestTanhSinhNodes:
     def test_table_is_read_only(self):
         with pytest.raises(ValueError):
             special_fn._TS_NODES[0, 0] = 0.0
-
-
-class TestPcfIndexDeprecated:
-    def test_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="PcfIndex is deprecated"):
-            idx = PcfIndex(2, rho=1)
-        assert idx.nu == -3.5
 
 
 class TestPcfScaled:
