@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anharmonic import propagator
+from .anharmonic import MU_CAP, propagator
 from .oscillator_ode import (
     CoefficientModel,
     const_coefficient,
@@ -130,13 +130,14 @@ def build_model(cfg: dict[str, str], base: Path) -> CoefficientModel:
 
 def _series_inputs(cfg: dict[str, str], base: Path):
     """The model, endpoints and series settings shared by propagator and compare."""
-    return (
-        build_model(cfg, base),
-        _get(cfg, "phi0"),
-        _get(cfg, "phiN"),
-        _get(cfg, "mu_max", int, 2),
-        _get(cfg, "grid_n", int, 512),
-    )
+    model, phi0, phiN = build_model(cfg, base), _get(cfg, "phi0"), _get(cfg, "phiN")
+    mu_max = _get(cfg, "mu_max", int, 2)
+    grid_n = _get(cfg, "grid_n", int, 512)
+    if not 0 <= mu_max <= MU_CAP:
+        raise ConfigError(f"bad value for mu_max: {mu_max} is outside 0..{MU_CAP}")
+    if grid_n < 64:  # solve_Q's minimum
+        raise ConfigError(f"bad value for grid_n: {grid_n} is below 64")
+    return model, phi0, phiN, mu_max, grid_n
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

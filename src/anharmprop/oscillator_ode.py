@@ -166,10 +166,10 @@ def make_boundary(solution: OscillatorSolution, phi0: float, phiB: float) -> Bou
 def _stage_times(grid: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 stage times and sub-step sizes for `substeps` sub-steps per interval.
 
-    Returns the times t, t + h/2, t + h of every sub-step in the order the scan
-    visits them, and h per interval.  A sub-step starts where the previous one
-    ended, accumulated as t += h, so the last end time of an interval need not
-    equal the next grid point exactly.
+    Returns the times t, t + h/2, t + h of every sub-step in step order, and h
+    per interval.  A sub-step starts where the previous one ended, accumulated
+    as t += h, so the last end time of an interval need not equal the next grid
+    point exactly.
     """
     t = grid[:-1]
     h = (grid[1:] - grid[:-1]) / substeps
@@ -180,36 +180,40 @@ def _stage_times(grid: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarra
     return np.stack(stages, axis=1).ravel(), h
 
 
-def _rk4_scan(p: list, q: list, y0: float, y1: float, h_steps: list, substeps: int):
-    """Classical RK4 for the linear system (y0, y1)' = (y1, p y1 + q y0).
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """(I + later)(I + earlier) - I for 2x2 increments on axes 0 and 1, written
+    out per component; the remaining axes are batch axes.  The product term,
+    the smallest, is summed first."""
+    out = later[:, :1] * earlier[:1]
+    out += later[:, 1:] * earlier[1:]
+    out += earlier
+    out += later
+    return out
 
-    p and q hold the coefficients at the stage times of `_stage_times`, three
-    per sub-step; the arithmetic is done in plain floats.
+
+def _prefix_increments(d: np.ndarray) -> np.ndarray:
+    """P_i - I for the prefix products P_i = M_{i-1} ... M_0 of the step maps
+    M = I + d (steps on the last axis), i = 0..n, by doubling.
+
+    Round k composes each product with the one 2^k steps before it, so the
+    whole prefix takes ceil(log2 n) batched rounds.  The products stay in
+    increment form: storing M itself would round 1 + small alike at every
+    step, an error that adds up linearly along the grid.
     """
-    out = [(y0, y1)]
-    j = 0
-    for h in h_steps:
-        half, w = 0.5 * h, h / 6.0
-        for _ in range(substeps):
-            pa, pb, pc = p[j], p[j + 1], p[j + 2]
-            qa, qb, qc = q[j], q[j + 1], q[j + 2]
-            k1, m1 = y1, pa * y1 + qa * y0
-            u0, u1 = y0 + half * k1, y1 + half * m1
-            k2, m2 = u1, pb * u1 + qb * u0
-            u0, u1 = y0 + half * k2, y1 + half * m2
-            k3, m3 = u1, pb * u1 + qb * u0
-            u0, u1 = y0 + h * k3, y1 + h * m3
-            k4, m4 = u1, pc * u1 + qc * u0
-            y0 = y0 + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y1 = y1 + w * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-            j += 3
-        out.append((y0, y1))
-    return np.array(out)
+    n = d.shape[-1]
+    prod = np.zeros(d.shape[:-1] + (n + 1,))
+    prod[..., 1:] = d
+    span = 1
+    while span < n:
+        prod[..., span + 1:] = _compose(prod[..., span + 1:], prod[..., 1:-span])
+        span *= 2
+    return prod
 
 
-def _rk4_pass(model: CoefficientModel, grid: np.ndarray, initial: dict, substeps: int):
-    """One RK4 pass over the grid for each characteristic system, sampling the
-    coefficients once at all stage times."""
+def _sample_pass(model: CoefficientModel, grid: np.ndarray, substeps: int):
+    """p and q of the Q and f systems (y0, y1)' = (y1, p y1 + q y0), sampled
+    once at all stage times of `_stage_times`, each of shape (stage, system,
+    interval, sub-step), and the sub-step size of shape (interval, sub-step)."""
     times, h = _stage_times(grid, substeps)
     c = model.c.value(times)
     c1 = model.c.d1(times)
@@ -217,36 +221,64 @@ def _rk4_pass(model: CoefficientModel, grid: np.ndarray, initial: dict, substeps
     b = model.b.value(times)
     l1 = c1 / c
     harmonic = (2.0 * b) / c
-    linear = {
-        "Q": (-l1, harmonic),
-        "f": (l1, harmonic + (c2 / c - l1 * l1)),
-    }
-    h_steps = h.tolist()
-    return {
-        which: _rk4_scan(p.tolist(), q.tolist(), *initial[which], h_steps, substeps)
-        for which, (p, q) in linear.items()
-    }
+    shape = (2, grid.size - 1, substeps, 3)
+    p = np.stack([-l1, l1]).reshape(shape)
+    q = np.stack([harmonic, harmonic + (c2 / c - l1 * l1)]).reshape(shape)
+    return np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0), np.repeat(h[:, None], substeps, 1)
+
+
+def _rk4_increments(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """M - I of every RK4 sub-step, with p, q and h laid out as `_sample_pass`
+    gives them; the result has the row and the column of the 2x2 matrix M in
+    front of the system axis.  M is the step run on the basis vectors."""
+    pa, pb, pc = p
+    qa, qb, qc = q
+    half, w = 0.5 * h, h / 6.0
+    # The basis vectors (1, 0) and (0, 1) on the column axis.
+    y0 = np.array([1.0, 0.0]).reshape(2, 1, 1, 1)
+    y1 = np.array([0.0, 1.0]).reshape(2, 1, 1, 1)
+    k1, m1 = y1, pa * y1 + qa * y0
+    u0, u1 = y0 + half * k1, y1 + half * m1
+    k2, m2 = u1, pb * u1 + qb * u0
+    u0, u1 = y0 + half * k2, y1 + half * m2
+    k3, m3 = u1, pb * u1 + qb * u0
+    u0, u1 = y0 + h * k3, y1 + h * m3
+    k4, m4 = u1, pc * u1 + qc * u0
+    return np.stack([
+        w * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+        w * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
+    ])
 
 
 def _solve_systems(model: CoefficientModel, grid: np.ndarray) -> dict:
-    """Q and f, each with its Richardson step-size estimate.
+    """Q and f, each as (y, y') on the grid with its Richardson step-size estimate.
 
     The two systems are integrated independently (f = 2 pi c Q / c(0)^2 is a
-    cross-check), each on the fine grid and, for the estimate, the coarse one.
+    cross-check), each on the fine grid (two sub-steps per interval) and, for
+    the estimate, the coarse one (one).  All four runs share one batch of RK4
+    sub-steps and one prefix product.
     """
-    initial = {"Q": (0.0, 1.0), "f": (0.0, 2.0 * math.pi / float(model.c.value(0.0)))}
-    fine = _rk4_pass(model, grid, initial, substeps=2)
-    coarse = _rk4_pass(model, grid, initial, substeps=1)
+    # Last axis of d: the fine pass's two sub-steps, then the coarse pass's one.
+    passes = zip(_sample_pass(model, grid, 2), _sample_pass(model, grid, 1))
+    d = _rk4_increments(*(np.concatenate(pair, axis=-1) for pair in passes))
+    # Runs in the order fine Q, fine f, coarse Q, coarse f, one step per interval.
+    steps = np.concatenate([_compose(d[..., 1], d[..., 0]), d[..., 2]], axis=2)
+    prod = _prefix_increments(steps)
+    # Each run's initial (y, y'), applied to P - I.
+    f1 = 2.0 * math.pi / float(model.c.value(0.0))
+    y0 = np.zeros((4, 1))
+    y1 = np.array([[1.0], [f1], [1.0], [f1]])
+    y = np.stack([y0, y1]) + (prod[:, 0] * y0 + prod[:, 1] * y1)
     out = {}
-    for which in ("Q", "f"):
-        scale = max(1.0, float(np.max(np.abs(fine[which]))))
-        est = float(np.max(np.abs(fine[which] - coarse[which]))) / 15.0 / scale
+    for which, fine, coarse in (("Q", y[:, 0], y[:, 2]), ("f", y[:, 1], y[:, 3])):
+        scale = max(1.0, float(np.max(np.abs(fine))))
+        est = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
         if est > 1e-6:
             raise ArithmeticError(
                 f"{which}-ODE step-size failure: Richardson estimate {est:.3e}; "
                 "increase grid_n"
             )
-        out[which] = fine[which], est
+        out[which] = fine, est
     return out
 
 
@@ -267,10 +299,8 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     grid = np.linspace(0.0, model.beta, grid_n + 1)
     systems = _solve_systems(model, grid)
-    qsol, q_est = systems["Q"]
-    fsol, f_est = systems["f"]
-    Q, Qdot = qsol[:, 0], qsol[:, 1]
-    f, fdot = fsol[:, 0], fsol[:, 1]
+    (Q, Qdot), q_est = systems["Q"]
+    (f, fdot), f_est = systems["f"]
     q_positive = bool(np.all(Q[1:] > 0.0))
 
     anti, I_of_tau, Y_reg = None, np.full_like(grid, np.nan), math.nan
@@ -330,7 +360,10 @@ def _regularized_Y_impl(anti, c0, beta, grid, c, Q, I, tol: float = 1e-6) -> flo
     """Y_reg by two routes from the kernel antiderivative `anti` and the
     gridded c, Q and I; raises ArithmeticError when the routes disagree."""
     # Route (i): analytic subtraction.  The O(tau) parts of c and Q^2 cancel
-    # (Q''(0) = -c'(0)/c(0)), so no finite c'(0) remnant survives.
+    # (Q''(0) = -c'(0)/c(0)), so no finite c'(0) remnant survives in Y_reg.
+    # One does survive in (Q I)'(0) = Y_reg - c'(0)/(2 c(0)^2), the quantity
+    # the phi0^2 term of the classical action needs; harmonic_propagator uses
+    # Y_reg there, so its exponent is c'(0) phi0^2 / 4 too large when c'(0) != 0.
     route_i = float(anti(beta) - anti(0.0)) - 1.0 / (c0 * beta)
 
     # Route (ii): read the defining bracket at the grid nodes eps = 8, 4, 2

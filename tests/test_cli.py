@@ -114,13 +114,20 @@ class TestPropagatorCommand:
             ("compare", "samples = 20000", "samples = 20000.5", "oracle.samples"),
             ("compare", "seed = 77", "seed = 7.7", "oracle.seed"),
             ("compare", "seed = 77", "seed = 77\nworkers = 1.5", "oracle.workers"),
+            ("propagator", "mu_max = 2", "mu_max = 9", "mu_max"),
+            ("propagator", "grid_n = 256", "grid_n = 32", "grid_n"),
         ],
-        ids=["mu_max", "grid_n", "samples", "seed", "workers"],
+        ids=["mu_max", "grid_n", "samples", "seed", "workers", "mu_max-range", "grid_n-range"],
     )
     def test_non_integer_for_integer_key_exits_2(
-        self, tmp_path, capsys, command, line, bad_line, key
+        self, tmp_path, capsys, monkeypatch, command, line, bad_line, key
     ):
-        # Integer keys are rejected, not truncated.
+        # Integer keys are rejected, not truncated, and out-of-range ones are
+        # config errors too, caught before any solve.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command solved before checking its config")
+
+        monkeypatch.setattr(cli, "propagator", no_work)
         cfg = write_cfg(tmp_path / "bad.cfg", SMALL_CFG.replace(line, bad_line))
         rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
         assert rc == 2
