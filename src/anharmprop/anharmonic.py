@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyder, polyval2d
 from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_array
 
@@ -123,18 +123,6 @@ def _poly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_d_beta(A: np.ndarray) -> np.ndarray:
-    if A.shape[-2] == 1:
-        return np.zeros(A.shape[:-2] + (1, A.shape[-1]))
-    return A[..., 1:, :] * np.arange(1, A.shape[-2])[:, None]
-
-
-def _poly_d_0(A: np.ndarray) -> np.ndarray:
-    if A.shape[1] == 1:
-        return np.zeros((A.shape[0], 1))
-    return A[:, 1:] * np.arange(1, A.shape[1])[None, :]
-
-
 def _h_kappa_poly(kappa: int, gamma: float) -> np.ndarray:
     """h_kappa = -4*4! scriptH_{4-kappa,kappa} as a bivariate polynomial."""
     return -4.0 * 24.0 * _incomplete_hermite_table(4, kappa, gamma)
@@ -160,8 +148,8 @@ def _operator_step(h: np.ndarray, R: np.ndarray, n_min: int) -> np.ndarray:
     total = None
     for n in range(5):
         if n > 0:
-            dleft = _poly_d_0(dleft)
-            dR = _poly_d_beta(dR)
+            dleft = polyder(dleft, axis=-1)
+            dR = polyder(dR, axis=-2)
         if n < n_min:
             continue
         piece = _poly_mul(dleft, dR) / (2.0**n * math.factorial(n))

@@ -34,6 +34,7 @@ import numpy as np
 
 from .anharmonic import MU_CAP, propagator
 from .oscillator_ode import (
+    GRID_N_MIN,
     CoefficientModel,
     const_coefficient,
     poly_coefficient,
@@ -135,8 +136,8 @@ def _series_inputs(cfg: dict[str, str], base: Path):
     grid_n = _get(cfg, "grid_n", int, 512)
     if not 0 <= mu_max <= MU_CAP:
         raise ConfigError(f"bad value for mu_max: {mu_max} is outside 0..{MU_CAP}")
-    if grid_n < 64:  # solve_Q's minimum
-        raise ConfigError(f"bad value for grid_n: {grid_n} is below 64")
+    if grid_n < GRID_N_MIN:
+        raise ConfigError(f"bad value for grid_n: {grid_n} is below {GRID_N_MIN}")
     return model, phi0, phiN, mu_max, grid_n
 
 

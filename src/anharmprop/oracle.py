@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 from scipy.special import poch
 
 from .oscillator_ode import BoundaryData, CoefficientModel
@@ -243,7 +243,7 @@ def _bridge_setup(sm: SlicedModel):
     )
     # P = L L^T; mean = P^{-1} s; Z = C_m (2 pi)^{n/2} det(P)^{-1/2}
     #                                 * exp(s^T P^{-1} s / 2 - const)
-    mean = solve_banded((1, 1), _banded_full(ab), s)
+    mean = cho_solve_banded((chol, False), s)
     log_det = 2.0 * float(np.sum(np.log(chol[1, :])))
     log_cm = -0.5 * sum(
         math.log(2.0 * math.pi * d / sm.c[i]) for i in range(N)
@@ -259,16 +259,6 @@ def _bridge_setup(sm: SlicedModel):
     chol.setflags(write=False)
     mean.setflags(write=False)
     return chol, mean, log_z
-
-
-def _banded_full(ab_upper: np.ndarray) -> np.ndarray:
-    """Upper-form symmetric band (2 x n) -> general band (3 x n) for solve_banded."""
-    n = ab_upper.shape[1]
-    out = np.zeros((3, n))
-    out[0, :] = ab_upper[0, :]
-    out[1, :] = ab_upper[1, :]
-    out[2, :-1] = ab_upper[0, 1:]
-    return out
 
 
 def _mc_chunk(sm: SlicedModel, chol: np.ndarray, mean: np.ndarray, seq, count: int):

@@ -36,6 +36,9 @@ __all__ = [
     "mehler_reference",
 ]
 
+# The smallest grid_n that solve_Q accepts.
+GRID_N_MIN = 64
+
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -163,23 +166,6 @@ def make_boundary(solution: OscillatorSolution, phi0: float, phiB: float) -> Bou
     )
 
 
-def _stage_times(grid: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 stage times and sub-step sizes for `substeps` sub-steps per interval.
-
-    Returns the times t, t + h/2, t + h of every sub-step in step order, and h
-    per interval.  A sub-step starts where the previous one ended, accumulated
-    as t += h, so the last end time of an interval need not equal the next grid
-    point exactly.
-    """
-    t = grid[:-1]
-    h = (grid[1:] - grid[:-1]) / substeps
-    stages = []
-    for _ in range(substeps):
-        stages += [t, t + 0.5 * h, t + h]
-        t = t + h
-    return np.stack(stages, axis=1).ravel(), h
-
-
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """(I + later)(I + earlier) - I for 2x2 increments on axes 0 and 1, written
     out per component; the remaining axes are batch axes.  The product term,
@@ -210,27 +196,31 @@ def _prefix_increments(d: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _sample_pass(model: CoefficientModel, grid: np.ndarray, substeps: int):
-    """p and q of the Q and f systems (y0, y1)' = (y1, p y1 + q y0), sampled
-    once at all stage times of `_stage_times`, each of shape (stage, system,
-    interval, sub-step), and the sub-step size of shape (interval, sub-step)."""
-    times, h = _stage_times(grid, substeps)
-    c = model.c.value(times)
-    c1 = model.c.d1(times)
-    c2 = model.c.d2(times)
-    b = model.b.value(times)
+# The RK4 stage times of interval i as lattice indices 4 i + offset, for the
+# lattice linspace(0, beta, 4 n + 1) whose every fourth point is the grid.
+# Rows: the stages t, t + h/2, t + h; columns: the fine pass's two sub-steps,
+# then the coarse pass's one.
+_STAGE_OFFSETS = np.array([[0, 2, 0], [1, 3, 2], [2, 4, 4]])
+_STAGE_OFFSETS.setflags(write=False)
+
+
+def _stage_coefficients(c, c1, c2, b):
+    """p and q of the Q and f systems (y0, y1)' = (y1, p y1 + q y0) at every
+    RK4 stage, each of shape (stage, system, interval, sub-step), from c, c',
+    c'' and b sampled on the lattice of 4 n + 1 points."""
     l1 = c1 / c
     harmonic = (2.0 * b) / c
-    shape = (2, grid.size - 1, substeps, 3)
-    p = np.stack([-l1, l1]).reshape(shape)
-    q = np.stack([harmonic, harmonic + (c2 / c - l1 * l1)]).reshape(shape)
-    return np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0), np.repeat(h[:, None], substeps, 1)
+    at = _STAGE_OFFSETS[:, None, :] + 4 * np.arange(c.size // 4)[:, None]
+    p = np.stack([-l1[at], l1[at]], axis=1)
+    q = np.stack([harmonic[at], (harmonic + (c2 / c - l1 * l1))[at]], axis=1)
+    return p, q
 
 
 def _rk4_increments(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """M - I of every RK4 sub-step, with p, q and h laid out as `_sample_pass`
-    gives them; the result has the row and the column of the 2x2 matrix M in
-    front of the system axis.  M is the step run on the basis vectors."""
+    """M - I of every RK4 sub-step, with p and q laid out as
+    `_stage_coefficients` gives them and h as (interval, sub-step); the result
+    has the row and the column of the 2x2 matrix M in front of the system
+    axis.  M is the step run on the basis vectors."""
     pa, pb, pc = p
     qa, qb, qc = q
     half, w = 0.5 * h, h / 6.0
@@ -250,22 +240,23 @@ def _rk4_increments(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     ])
 
 
-def _solve_systems(model: CoefficientModel, grid: np.ndarray) -> dict:
-    """Q and f, each as (y, y') on the grid with its Richardson step-size estimate.
+def _solve_systems(grid: np.ndarray, c, c1, c2, b) -> dict:
+    """Q and f, each as (y, y') on the grid with its Richardson step-size
+    estimate, from c, c', c'' and b sampled on the lattice.
 
     The two systems are integrated independently (f = 2 pi c Q / c(0)^2 is a
     cross-check), each on the fine grid (two sub-steps per interval) and, for
     the estimate, the coarse one (one).  All four runs share one batch of RK4
     sub-steps and one prefix product.
     """
-    # Last axis of d: the fine pass's two sub-steps, then the coarse pass's one.
-    passes = zip(_sample_pass(model, grid, 2), _sample_pass(model, grid, 1))
-    d = _rk4_increments(*(np.concatenate(pair, axis=-1) for pair in passes))
+    # Last axis: the fine pass's two sub-steps, then the coarse pass's one.
+    h = np.diff(grid)[:, None] / np.array([2.0, 2.0, 1.0])
+    d = _rk4_increments(*_stage_coefficients(c, c1, c2, b), h)
     # Runs in the order fine Q, fine f, coarse Q, coarse f, one step per interval.
     steps = np.concatenate([_compose(d[..., 1], d[..., 0]), d[..., 2]], axis=2)
     prod = _prefix_increments(steps)
     # Each run's initial (y, y'), applied to P - I.
-    f1 = 2.0 * math.pi / float(model.c.value(0.0))
+    f1 = 2.0 * math.pi / float(c[0])
     y0 = np.zeros((4, 1))
     y1 = np.array([[1.0], [f1], [1.0], [f1]])
     y = np.stack([y0, y1]) + (prod[:, 0] * y0 + prod[:, 1] * y1)
@@ -295,18 +286,23 @@ def _kernel(anti, c0: float, beta: float, tau):
 
 def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     """Solve the Q equation (and the rest of the solution bundle) on a shared grid."""
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be >= 64, got {grid_n}")
-    grid = np.linspace(0.0, model.beta, grid_n + 1)
-    systems = _solve_systems(model, grid)
+    if grid_n < GRID_N_MIN:
+        raise ValueError(f"grid_n must be >= {GRID_N_MIN}, got {grid_n}")
+    # The coefficients are sampled once, on a lattice holding every RK4 stage
+    # time; the grid is every fourth lattice point, bit for bit.
+    lattice = np.linspace(0.0, model.beta, 4 * grid_n + 1)
+    grid = lattice[::4].copy()
+    c = model.c.value(lattice)
+    systems = _solve_systems(
+        grid, c, model.c.d1(lattice), model.c.d2(lattice), model.b.value(lattice)
+    )
     (Q, Qdot), q_est = systems["Q"]
     (f, fdot), f_est = systems["f"]
     q_positive = bool(np.all(Q[1:] > 0.0))
 
     anti, I_of_tau, Y_reg = None, np.full_like(grid, np.nan), math.nan
     if q_positive:
-        c0 = float(model.c(0.0))
-        cvals = model.c(grid)
+        c0, cvals = float(c[0]), c[::4]
         # Subtracted kernel integrand: 1/(c Q^2) - 1/(c0 tau^2), finite at 0.
         g = np.empty_like(grid)
         g[1:] = 1.0 / (cvals[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)

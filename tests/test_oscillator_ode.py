@@ -56,13 +56,14 @@ def _table(beta, values):
 
 
 # Non-constant c and b make every RK4 stage time matter, so these pin the
-# stage-time sequence (t, t + h/2, t + h, accumulated as t += h) bit for bit.
+# stage times (the points of the lattice linspace(0, beta, 4 grid_n + 1))
+# bit for bit.
 # Values: sha256 of the Q, Qdot, f, fdot bytes, then richardson["Q"],
 # richardson["f"] and Y_reg as float.hex(), at grid_n = 512.
 PINNED = {
     "poly-c": (
         CoefficientModel(a=0.05, b=0.5, c=poly_coefficient([1.0, 0.3, -0.1]), beta=1.3),
-        "c1fb2ca2ca97cd3e82f93e1ce21105a8e25a3920e96a430489af0e27582fab61",
+        "fa0dea24b8bc4b8576f7bb39454e9c7a22b04bb3b6f99f5734f732d891131012",
         "0x1.01100d2813a00p-45",
         "0x1.0fdda685b64d9p-46",
         "-0x1.19045573a14f6p+0",
@@ -71,8 +72,8 @@ PINNED = {
         CoefficientModel(
             a=0.05, b=0.6, c=_table(1.1, [1.0, 1.08, 1.12, 1.05, 0.96, 0.91, 0.95]), beta=1.1
         ),
-        "2458083fa5133efb2aca5c0b2b2ff7ced6bca2a7647cfaf27038f913963ad146",
-        "0x1.2a7edcd3a77acp-34",
+        "945772d32a8a50ac4857462a1c294c11861cbcbef0cae5814866f0ff50a6c88a",
+        "0x1.2a7eda8d4a35fp-34",
         "0x1.556399f602b17p-33",
         "-0x1.2b6a66ea2d99fp+0",
     ),
@@ -80,7 +81,7 @@ PINNED = {
         CoefficientModel(
             a=0.05, b=_table(1.4, [0.4, 0.55, 0.7, 0.62, 0.48, 0.5]), c=1.0, beta=1.4
         ),
-        "6fff114148c20bd2ad0ef9bf388599aed794e8de955e3dbd38d40f2c1971e0ec",
+        "76e836baa927a2c399204f569e479acef905f614f7b4e4c75158d90933f77ef7",
         "0x1.0233e24a3bbedp-43",
         "0x1.02316b2d42165p-43",
         "-0x1.2741ecd8c8a66p+0",
@@ -96,15 +97,20 @@ STAGEWISE_MODELS = pytest.mark.parametrize(
 )
 
 
-def _stagewise_times(grid, substeps):
-    """The RK4 stage times (t, t + h/2, t + h) of every sub-step in step order,
-    with t accumulated as t += h, and the sub-step size h of each."""
-    for i in range(len(grid) - 1):
-        t = grid[i]
-        h = (grid[i + 1] - grid[i]) / substeps
-        for _ in range(substeps):
-            yield (t, t + 0.5 * h, t + h), h
-            t += h
+def _lattice(model, grid_n):
+    """The RK4 stage times of two sub-steps per grid interval, in order."""
+    return np.linspace(0.0, model.beta, 4 * grid_n + 1)
+
+
+def _stagewise_times(model, grid_n):
+    """The RK4 stage times (t, t + h/2, t + h) of every fine sub-step in step
+    order, read from the lattice, and the sub-step size h of each."""
+    lattice = _lattice(model, grid_n)
+    grid = np.linspace(0.0, model.beta, grid_n + 1)
+    for i in range(grid_n):
+        h = (grid[i + 1] - grid[i]) / 2
+        for k in (4 * i, 4 * i + 2):
+            yield tuple(lattice[k : k + 3]), h
 
 
 def _stagewise_rk4(model, grid_n, which):
@@ -120,12 +126,11 @@ def _stagewise_rk4(model, grid_n, which):
         l2 = float(c.d2(t)) / cc - l1 * l1
         return mpmath.mpf(l1), mpmath.mpf(2.0 * float(b.value(t)) / cc + l2)
 
-    grid = np.linspace(0.0, model.beta, grid_n + 1)
     with mpmath.workdps(40):
         y0 = mpmath.mpf(0)
         y1 = mpmath.mpf(1.0 if which == "Q" else 2.0 * math.pi / float(c.value(0.0)))
         out = [(y0, y1)]
-        for k, (stages, h) in enumerate(_stagewise_times(grid, 2)):
+        for k, (stages, h) in enumerate(_stagewise_times(model, grid_n)):
             (pa, qa), (pb, qb), (pc, qc) = map(coefficients, stages)
             h = mpmath.mpf(h)
             k1, m1 = y1, pa * y1 + qa * y0
@@ -140,14 +145,13 @@ def _stagewise_rk4(model, grid_n, which):
 
 
 def _recording(model):
-    """model with every array argument of b and c's callables recorded, by
-    callable name, in calls."""
+    """model with every argument of b and c's callables recorded, as an
+    array, by callable name in calls."""
     calls = {}
 
     def recorded(name, fn):
         def call(t):
-            if np.ndim(t):
-                calls.setdefault(name, []).append(np.array(t))
+            calls.setdefault(name, []).append(np.array(t))
             return fn(t)
 
         return call
@@ -291,20 +295,18 @@ class TestQSolution:
 
     @STAGEWISE_MODELS
     def test_stage_times_match_stagewise_reference(self, model):
-        # Every pass samples b and c once, at t, t + h/2, t + h per sub-step
-        # with t += h: the fine pass (two sub-steps) first, then the coarse one.
+        # b and c are sampled once per solve, on the lattice that holds every
+        # RK4 stage of both passes; the grid, c(grid) and c(0) are read from it.
         for grid_n in (256, 257):
             recorded, calls = _recording(model)
-            solve_Q(recorded, grid_n=grid_n)
+            sol = solve_Q(recorded, grid_n=grid_n)
+            lattice = _lattice(model, grid_n)
             grid = np.linspace(0.0, model.beta, grid_n + 1)
-            expected = [
-                np.array([s for stages, _ in _stagewise_times(grid, substeps) for s in stages])
-                for substeps in (2, 1)
-            ]
-            for name in ("b.value", "c.value", "c.d1", "c.d2"):
-                got = [t for t in calls[name] if t.size != grid.size]
-                assert len(got) == 2, (grid_n, name)
-                assert all(map(np.array_equal, got, expected)), (grid_n, name)
+            assert sol.grid.tobytes() == grid.tobytes() == lattice[::4].tobytes()
+            assert sorted(calls) == ["b.value", "c.d1", "c.d2", "c.value"], grid_n
+            for name, got in calls.items():
+                assert len(got) == 1, (grid_n, name)
+                assert got[0].tobytes() == lattice.tobytes(), (grid_n, name)
 
     @STAGEWISE_MODELS
     def test_matches_stagewise_reference(self, model):
@@ -327,7 +329,7 @@ class TestQSolution:
             calls[0] = 0
             solve_Q(model, grid_n=grid_n)
             counts.append(calls[0])
-        assert counts[0] == counts[1] < 50
+        assert counts == [4, 4]
 
     def test_one_spline_per_solve(self, monkeypatch):
         # Route (ii) of Y_reg reads Q at grid nodes; only the subtracted
