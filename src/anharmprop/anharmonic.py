@@ -202,7 +202,7 @@ def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> np.ndarra
         g[kappa, 1:] = w[1:] * I[1:] ** kappa
     # a Q^4 I^kappa ~ tau^{4-kappa} at 0; only kappa=4 survives, with the
     # exact limit a(0) (Q I -> 1/c(0))^4.
-    g[4, 0] = a[0] / float(model.c(0.0)) ** 4
+    g[4, 0] = a[0] / float(solution.c[0]) ** 4
     return g
 
 

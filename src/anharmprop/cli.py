@@ -19,7 +19,8 @@ Coefficients accept ``const:<v>``, ``poly:<c0,c1,...>`` or ``table:<path>``
 significant digits and LF line endings, and is a deterministic function of
 (config, seed).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/domain error.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written included), 3 numeric/domain error.
 """
 from __future__ import annotations
 
@@ -56,8 +57,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_config(path: str) -> dict[str, str]:
-    """Flat key-value config with [section] prefixes and # comments."""
+    """Flat key-value config with [section] prefixes and # comments; a key
+    given twice (in the same section) is an error."""
     cfg: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     section = ""
     try:
         text = Path(path).read_text()
@@ -75,7 +78,13 @@ def parse_config(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        cfg[f"{section}.{key}" if section else key] = value
+        key = f"{section}.{key}" if section else key
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: repeated key {key!r} (first given on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -142,10 +151,13 @@ def _series_inputs(cfg: dict[str, str], base: Path):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {outdir}: {exc}") from exc
         if args.command in ("propagator", "compare"):
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")

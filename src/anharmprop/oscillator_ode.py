@@ -13,8 +13,9 @@ not an implementation shortcut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -127,11 +128,19 @@ class CoefficientModel:
 
 @dataclass(frozen=True)
 class OscillatorSolution:
-    """Gridded Q, f, kernel I and the regularized boundary integral, built
-    complete by `solve_Q`; I_of_tau and Y_reg are NaN when not q_positive."""
+    """Gridded c, Q, f, kernel I and the regularized boundary integral, built
+    complete by `solve_Q`; I_of_tau and Y_reg are NaN when not q_positive.
+
+    Read-only throughout: every array, the `richardson` mapping and the
+    private kernel antiderivative refuse in-place writes.  `c` holds the
+    samples the solve took (c(0) = c[0] and c(beta) = c[-1] exactly), so the
+    boundary data, the harmonic factor, the kernel and the series read c here
+    rather than calling the model again.
+    """
 
     model: CoefficientModel
     grid: np.ndarray
+    c: np.ndarray
     Q: np.ndarray
     Qdot: np.ndarray
     f: np.ndarray
@@ -139,7 +148,7 @@ class OscillatorSolution:
     I_of_tau: np.ndarray  # I(grid); +inf at tau=0
     Y_reg: float
     q_positive: bool
-    richardson: dict = field(default_factory=dict)
+    richardson: Mapping[str, float]
     # private: antiderivative of the subtracted kernel integrand
     _bracket_anti: CubicSpline | None = None
 
@@ -156,7 +165,7 @@ class BoundaryData:
 
 
 def make_boundary(solution: OscillatorSolution, phi0: float, phiB: float) -> BoundaryData:
-    c0 = float(solution.model.c(0.0))
+    c0 = float(solution.c[0])
     q_beta = float(solution.Q[-1])
     return BoundaryData(
         phi0=phi0,
@@ -292,29 +301,34 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     # time; the grid is every fourth lattice point, bit for bit.
     lattice = np.linspace(0.0, model.beta, 4 * grid_n + 1)
     grid = lattice[::4].copy()
-    c = model.c.value(lattice)
+    c_lattice = model.c.value(lattice)
     systems = _solve_systems(
-        grid, c, model.c.d1(lattice), model.c.d2(lattice), model.b.value(lattice)
+        grid, c_lattice, model.c.d1(lattice), model.c.d2(lattice), model.b.value(lattice)
     )
     (Q, Qdot), q_est = systems["Q"]
     (f, fdot), f_est = systems["f"]
     q_positive = bool(np.all(Q[1:] > 0.0))
+    c = c_lattice[::4].copy()
 
     anti, I_of_tau, Y_reg = None, np.full_like(grid, np.nan), math.nan
     if q_positive:
-        c0, cvals = float(c[0]), c[::4]
+        c0 = float(c[0])
         # Subtracted kernel integrand: 1/(c Q^2) - 1/(c0 tau^2), finite at 0.
         g = np.empty_like(grid)
-        g[1:] = 1.0 / (cvals[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
+        g[1:] = 1.0 / (c[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
         g[0] = extrapolate_node0(grid, g)
         anti = CubicSpline(grid, g).antiderivative()
         with np.errstate(divide="ignore"):  # I(0) = +inf
             I_of_tau = _kernel(anti, c0, model.beta, grid)
         I_of_tau[-1] = 0.0
-        Y_reg = _regularized_Y_impl(anti, c0, model.beta, grid, cvals, Q, I_of_tau)
+        Y_reg = _regularized_Y_impl(anti, c0, model.beta, grid, c, Q, I_of_tau)
+    # Read-only, so a solution read later holds what the solve produced.
+    for arr in (grid, c, Q, Qdot, f, fdot, I_of_tau) + ((anti.x, anti.c) if q_positive else ()):
+        arr.setflags(write=False)
     return OscillatorSolution(
         model=model,
         grid=grid,
+        c=c,
         Q=Q,
         Qdot=Qdot,
         f=f,
@@ -322,7 +336,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         I_of_tau=I_of_tau,
         Y_reg=Y_reg,
         q_positive=q_positive,
-        richardson={"Q": q_est, "f": f_est},
+        richardson=MappingProxyType({"Q": q_est, "f": f_est}),
         _bracket_anti=anti,
     )
 
@@ -348,8 +362,7 @@ def kernel_I(solution: OscillatorSolution, tau: float) -> float:
         raise ValueError(f"kernel_I needs 0 < tau <= beta (I diverges at 0), got {tau}")
     if tau == beta:
         return 0.0
-    c0 = float(solution.model.c(0.0))
-    return float(_kernel(solution._bracket_anti, c0, beta, tau))
+    return float(_kernel(solution._bracket_anti, float(solution.c[0]), beta, tau))
 
 
 def _regularized_Y_impl(anti, c0, beta, grid, c, Q, I, tol: float = 1e-6) -> float:
@@ -403,9 +416,8 @@ def harmonic_propagator(
     f_beta = float(solution.f[-1])
     if f_beta <= 0.0:
         raise ArithmeticError(f"f(beta) = {f_beta} <= 0: caustic/instability")
-    model = solution.model
-    c0 = float(model.c(0.0))
-    c_beta = float(model.c(model.beta))
+    c0 = float(solution.c[0])
+    c_beta = float(solution.c[-1])
     q_beta = float(solution.Q[-1])
     exponent = (
         solution.Y_reg * c0 * c0 * boundary.phi0**2 / 2.0

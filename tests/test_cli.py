@@ -63,6 +63,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")
 
+    def test_repeated_key_names_key_and_both_lines(self, tmp_path):
+        path = write_cfg(
+            tmp_path / "c.cfg",
+            "beta = 1.0\n[coeff]\na = const:0.1\nb = const:0.5\na = const:0.2\n",
+        )
+        with pytest.raises(ConfigError, match=r"c\.cfg:5: repeated key 'coeff\.a'.*line 3"):
+            parse_config(str(path))
+
+    def test_same_key_in_different_sections_is_distinct(self, tmp_path):
+        path = write_cfg(tmp_path / "c.cfg", "seed = 1\n[oracle]\nseed = 2\n")
+        assert parse_config(str(path)) == {"seed": "1", "oracle.seed": "2"}
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_CFG + "[coeff]\nc = const:2.0\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "propagator"])
+        assert rc == 2
+        assert "repeated key 'coeff.c'" in capsys.readouterr().err
+
 
 class TestPropagatorCommand:
     def test_golden_breakdown(self, tmp_path):
@@ -262,6 +280,42 @@ class TestCompareCommand:
         assert rc == 2
         assert f"bad value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+class TestUnwritableOutput:
+    # --out naming an existing file, and a path below a file: both refused
+    # by mkdir, with exit 2 and no traceback.
+    COMMANDS = {
+        "propagator": ["propagator"],
+        "compare": ["compare"],
+        "i1": ["i1", "--a", "1"],
+        "table": ["table", "--kind", "a-coeff"],
+    }
+
+    @pytest.mark.parametrize("below_file", [False, True], ids=["out-is-file", "out-below-file"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, command, below_file):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} did work before creating its output directory")
+
+        for name in ("propagator", "wn_quadrature", "wn_montecarlo", "run_i1", "run_table"):
+            monkeypatch.setattr(cli, name, no_work)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if below_file else blocker
+        cfg = write_cfg(tmp_path / "small.cfg", SMALL_CFG)
+        rc = main(["--config", str(cfg), "--out", str(out), *self.COMMANDS[command]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out}")
+        assert blocker.read_text() == ""
+
+    def test_propagator_csv_path_is_directory(self, tmp_path, capsys):
+        (tmp_path / "breakdown.csv").mkdir()
+        rc = main(["--config", str(REFERENCE_CFG), "--out", str(tmp_path), "propagator"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {tmp_path / 'breakdown.csv'}")
 
 
 class TestNonFiniteArguments:

@@ -25,11 +25,14 @@ from anharmprop import (
     kernel_I,
     make_boundary,
     mehler_reference,
+    nested_integral,
     poly_coefficient,
+    propagator,
     regularized_Y,
     solve_Q,
     solve_f,
     table_coefficient,
+    w_mu_direct,
 )
 from anharmprop import oscillator_ode
 
@@ -330,6 +333,41 @@ class TestQSolution:
             solve_Q(model, grid_n=grid_n)
             counts.append(calls[0])
         assert counts == [4, 4]
+
+    @pytest.mark.parametrize("name", ["poly-c", "table-c"])
+    def test_solution_carries_c_samples(self, name):
+        # c(grid), c(0) and c(beta) are the lattice samples, bit for bit
+        # equal to evaluating the model again.
+        model = PINNED[name][0]
+        sol = solve_Q(model, grid_n=257)
+        assert sol.c.tobytes() == model.c(sol.grid).tobytes()
+        assert sol.c[0] == float(model.c(0.0)) and sol.c[-1] == float(model.c(model.beta))
+
+    @pytest.mark.parametrize("mu_max", range(5))
+    def test_propagator_calls(self, mu_max):
+        # The solve's four lattice calls, then a(grid) once per order.
+        model, calls = _counting(PINNED["poly-c"][0])
+        calls[0] = 0  # drop the positivity probe of the constructor
+        propagator(model, 0.3, -0.2, mu_max=mu_max, grid_n=128)
+        assert calls[0] == 4 + mu_max
+
+    def test_calls_after_the_solve(self):
+        # Past solve_Q, c is read from the solution; only a comes from the model.
+        model, calls = _counting(PINNED["poly-c"][0])
+        br = propagator(model, 0.3, -0.2, mu_max=2, grid_n=128)
+        sol, bd = br.solution, br.boundary
+        layers = {
+            "make_boundary": (lambda: make_boundary(sol, 0.4, 0.1), 0),
+            "harmonic_propagator": (lambda: harmonic_propagator(sol, bd), 0),
+            "kernel_I": (lambda: kernel_I(sol, 0.5), 0),
+            "p1": (lambda: br.p1, 1),
+            "nested_integral": (lambda: nested_integral(sol, model, (4, 0)), 1),
+            "w_mu_direct": (lambda: w_mu_direct(sol, model, bd, 1), 1),
+        }
+        for name, (call, expected) in layers.items():
+            calls[0] = 0
+            call()
+            assert calls[0] == expected, name
 
     def test_one_spline_per_solve(self, monkeypatch):
         # Route (ii) of Y_reg reads Q at grid nodes; only the subtracted
