@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py rebinds it
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_array
 
 from .oscillator_ode import (
@@ -184,10 +185,59 @@ def d_function(kv, boundary: BoundaryData) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _interval_integrals(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Integrals over [t_i, t_{i+1}] of the not-a-knot cubic spline through y,
+    along the last axis of y (one row per integrand).
+
+    The node slopes s solve the tridiagonal system of scipy's CubicSpline
+    (same rows, same arithmetic), and the spline's exact integral over an
+    interval is dx/2 (y_i + y_{i+1}) + dx^2/12 (s_i - s_{i+1}).
+    """
+    grid = np.asarray(grid, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if grid.ndim != 1 or grid.size < 4:
+        raise ValueError(f"the grid must be 1-D with at least 4 nodes, got shape {grid.shape}")
+    if y.ndim == 0 or y.shape[-1] != grid.size:
+        raise ValueError(f"y's last axis must match the grid's {grid.size} nodes, got {y.shape}")
+    dx = np.diff(grid)
+    if not (np.all(dx > 0.0) and math.isfinite(grid[-1] - grid[0])):
+        raise ValueError("the grid must be finite and strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must contain only finite values")
+    slope = np.diff(y) / dx
+    d_start, d_end = grid[2] - grid[0], grid[-1] - grid[-3]
+    # Row i of the system: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1},
+    # with the not-a-knot rows (third derivative continuous at t_1 and t_{n-2})
+    # at both ends.  The bands are stored as in scipy: the upper diagonal from
+    # column 1, the lower one up to column n - 2.
+    bands = np.empty((3, grid.size))
+    bands[0, 1], bands[0, 2:] = d_start, dx[:-1]
+    bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
+    bands[2, :-2], bands[2, -2] = dx[1:], d_end
+    # b is (rows, grid), so b.T is the Fortran-ordered (grid, rows)
+    # right-hand side that dgtsv solves in place.
+    b = np.empty(y.shape)
+    b[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
+    b[..., 0] = (
+        (dx[0] + 2.0 * d_start) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
+    ) / d_start
+    b[..., -1] = (
+        dx[-1] ** 2 * slope[..., -2] + (2.0 * d_end + dx[-1]) * dx[-2] * slope[..., -1]
+    ) / d_end
+    *_, s, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b.T, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spline slope system: dgtsv info = {info}")
+    s = s.T
+    return 0.5 * dx * (y[..., :-1] + y[..., 1:]) + dx**2 / 12.0 * (s[..., :-1] - s[..., 1:])
+
+
 def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(t_i) = int_{t_i}^{beta} y (per column), via the cubic-spline antiderivative."""
-    anti = CubicSpline(grid, y).antiderivative()
-    return anti(grid[-1]) - anti(grid)
+    """F(t_i) = int_{t_i}^{beta} y along the last axis of y, the spline's
+    interval integrals summed from the right, with F(beta) = 0."""
+    pieces = _interval_integrals(grid, y)
+    F = np.zeros(pieces.shape[:-1] + (pieces.shape[-1] + 1,))
+    np.cumsum(pieces[..., ::-1], axis=-1, out=F[..., -2::-1])
+    return F
 
 
 def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> np.ndarray:
@@ -229,6 +279,23 @@ def _read_only(a):
     return a
 
 
+def _derivatives(c: np.ndarray, axis: int) -> list[np.ndarray]:
+    """c and its first four derivatives along axis, each taken from the last."""
+    out = [c]
+    for _ in range(4):
+        out.append(polyder(out[-1], axis=axis))
+    return out
+
+
+def _sum_pieces(dh: list, dR: list, n_min: int) -> np.ndarray:
+    """_operator_step's sum, from the derivatives of h (dh) and of R (dR)."""
+    total = _poly_mul(dh[n_min], dR[n_min]) / (2.0**n_min * math.factorial(n_min))
+    for n in range(n_min + 1, 5):
+        piece = _poly_mul(dh[n], dR[n]) / (2.0**n * math.factorial(n))
+        total[..., : piece.shape[-2], : piece.shape[-1]] += piece
+    return total
+
+
 def _operator_tables(n_min: int) -> tuple:
     """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j and the map
     from the integrand pieces of order j to S_j's columns, for gamma = 1/4.
@@ -239,14 +306,21 @@ def _operator_tables(n_min: int) -> tuple:
     the monomial of column i of S_{j-1}.  Order 1 applies the full operators
     for both series (the innermost factor of P1 is h_k).  The monomials the
     images reach are the columns of S_j.
+
+    The images are summed as _operator_step sums them, so they equal its
+    output entry for entry; but the derivatives of each h_k do not depend on
+    the operand, nor the basis's on k, so they are taken once per table and
+    once per order.
     """
-    h = [_h_kappa_poly(k, 0.25) for k in range(5)]
+    dh = [_derivatives(_h_kappa_poly(k, 0.25), axis=-1) for k in range(5)]
     p = q = np.zeros(1, dtype=np.intp)
     tables = []
     for j in range(1, MU_CAP + 1):
         basis = np.zeros((p.size, p.max() + 1, q.max() + 1))
         basis[np.arange(p.size), p, q] = 1.0
-        images = np.stack([_operator_step(hk, basis, n_min if j > 1 else 0) for hk in h])
+        dbasis = _derivatives(basis, axis=-2)
+        lowest = n_min if j > 1 else 0
+        images = np.stack([_sum_pieces(dhk, dbasis, lowest) for dhk in dh])
         p, q = np.nonzero(np.any(images != 0.0, axis=(0, 1)))
         op = csr_array(images[:, :, p, q].transpose(2, 0, 1).reshape(p.size, -1))
         tables.append((_read_only(p), _read_only(q), _read_only(op)))
@@ -291,16 +365,17 @@ def _order_terms(
         v = boundary.phiB_hat**p * boundary.phi0_hat**q
         if j == mu_max:
             # Only S_j(beta) . v is needed: contract with v before the product
-            # and the integral, so the last spline has one column.
+            # and the integral, so the last integral has one row.
             U = (op.T @ v).reshape(5, -1)
             y = np.einsum("kt,ki,it->t", G, U, S)
-            terms.append(float(_cumulative_from_right(grid, y)[0]))
+            terms.append(float(_interval_integrals(grid, y).sum()))
             break
-        # The spline copies less for a C-ordered integrand.
-        integrand = np.ascontiguousarray((op @ (G[:, None, :] * S).reshape(-1, grid.size)).T)
-        F = _cumulative_from_right(grid, integrand)
-        S = (F[0] - F).T.copy()  # S_j, one row per column
-        terms.append(float(F[0] @ v))
+        # S_j(t) = int_0^t is summed from the left: F(0) - F(t) would cancel
+        # where S_j is small, near t = 0, and move W(4) by up to 4e-12.
+        pieces = _interval_integrals(grid, op @ (G[:, None, :] * S).reshape(-1, grid.size))
+        S = np.zeros((pieces.shape[0], grid.size))  # S_j, one row per column
+        np.cumsum(pieces, axis=-1, out=S[:, 1:])
+        terms.append(float(S[:, -1] @ v))
     return terms
 
 
@@ -392,19 +467,19 @@ def w_mu_direct(
         y[0] = extrapolate_node0(grid, y)
         return float(_cumulative_from_right(grid, y)[0])
 
-    # mu = 2: column i - 1 holds the inner integrand of the outer node tau_i
+    # mu = 2: row i - 1 holds the inner integrand of the outer node tau_i
     # (I1 = I(tau_i)), with the inner variable (I2) along the grid axis.
-    I1 = I[None, 1:]
-    I2 = I[1:, None]
+    I1 = I[1:, None]
+    I2 = I[None, 1:]
     u = _Jet([p0 * I1 + pB, p0 * I2 + pB])
     w = _Jet([I1, 2.0 * I2, I2])
     K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
-    inner = np.empty((grid.size, grid.size - 1))
-    inner[1:] = w4[1:, None] * K
-    inner[0] = extrapolate_node0(grid, inner)
-    # The inner integral of column i - 1 runs from tau_i to beta.
+    inner = np.empty((grid.size - 1, grid.size))
+    inner[:, 1:] = w4[1:] * K
+    inner[:, 0] = extrapolate_node0(grid, inner.T)
+    # The inner integral of row i - 1 runs from tau_i to beta.
     outer = np.empty_like(grid)
-    outer[1:] = w4[1:] * np.diagonal(_cumulative_from_right(grid, inner), offset=-1)
+    outer[1:] = w4[1:] * np.diagonal(_cumulative_from_right(grid, inner), offset=1)
     outer[0] = extrapolate_node0(grid, outer)
     return float(_cumulative_from_right(grid, outer)[0])
 
