@@ -23,13 +23,14 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
 from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py rebinds it
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 
 from .oscillator_ode import (
     BoundaryData,
     CoefficientModel,
     OscillatorSolution,
+    _cumulative_from_right,
+    _interval_integrals,
     extrapolate_node0,
     harmonic_propagator,
     make_boundary,
@@ -185,61 +186,6 @@ def d_function(kv, boundary: BoundaryData) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interval_integrals(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Integrals over [t_i, t_{i+1}] of the not-a-knot cubic spline through y,
-    along the last axis of y (one row per integrand).
-
-    The node slopes s solve the tridiagonal system of scipy's CubicSpline
-    (same rows, same arithmetic), and the spline's exact integral over an
-    interval is dx/2 (y_i + y_{i+1}) + dx^2/12 (s_i - s_{i+1}).
-    """
-    grid = np.asarray(grid, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if grid.ndim != 1 or grid.size < 4:
-        raise ValueError(f"the grid must be 1-D with at least 4 nodes, got shape {grid.shape}")
-    if y.ndim == 0 or y.shape[-1] != grid.size:
-        raise ValueError(f"y's last axis must match the grid's {grid.size} nodes, got {y.shape}")
-    dx = np.diff(grid)
-    if not (np.all(dx > 0.0) and math.isfinite(grid[-1] - grid[0])):
-        raise ValueError("the grid must be finite and strictly increasing")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must contain only finite values")
-    slope = np.diff(y) / dx
-    d_start, d_end = grid[2] - grid[0], grid[-1] - grid[-3]
-    # Row i of the system: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1},
-    # with the not-a-knot rows (third derivative continuous at t_1 and t_{n-2})
-    # at both ends.  The bands are stored as in scipy: the upper diagonal from
-    # column 1, the lower one up to column n - 2.
-    bands = np.empty((3, grid.size))
-    bands[0, 1], bands[0, 2:] = d_start, dx[:-1]
-    bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
-    bands[2, :-2], bands[2, -2] = dx[1:], d_end
-    # b is (rows, grid), so b.T is the Fortran-ordered (grid, rows)
-    # right-hand side that dgtsv solves in place.
-    b = np.empty(y.shape)
-    b[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
-    b[..., 0] = (
-        (dx[0] + 2.0 * d_start) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
-    ) / d_start
-    b[..., -1] = (
-        dx[-1] ** 2 * slope[..., -2] + (2.0 * d_end + dx[-1]) * dx[-2] * slope[..., -1]
-    ) / d_end
-    *_, s, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b.T, 1, 1, 1, 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"spline slope system: dgtsv info = {info}")
-    s = s.T
-    return 0.5 * dx * (y[..., :-1] + y[..., 1:]) + dx**2 / 12.0 * (s[..., :-1] - s[..., 1:])
-
-
-def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(t_i) = int_{t_i}^{beta} y along the last axis of y, the spline's
-    interval integrals summed from the right, with F(beta) = 0."""
-    pieces = _interval_integrals(grid, y)
-    F = np.zeros(pieces.shape[:-1] + (pieces.shape[-1] + 1,))
-    np.cumsum(pieces[..., ::-1], axis=-1, out=F[..., -2::-1])
-    return F
-
-
 def _g_table(solution: OscillatorSolution, model: CoefficientModel) -> np.ndarray:
     """g_kappa = a Q^4 I^kappa on the grid, one row per kappa = 0..4."""
     require_kernel(solution)
@@ -274,7 +220,7 @@ def nested_integral(solution: OscillatorSolution, model: CoefficientModel, kv) -
 
 
 def _read_only(a):
-    for arr in (a.data, a.indices, a.indptr) if isinstance(a, csr_array) else (a,):
+    for arr in (a.data, a.indices, a.indptr) if issparse(a) else (a,):
         arr.setflags(write=False)
     return a
 
@@ -297,8 +243,9 @@ def _sum_pieces(dh: list, dR: list, n_min: int) -> np.ndarray:
 
 
 def _operator_tables(n_min: int) -> tuple:
-    """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j and the map
-    from the integrand pieces of order j to S_j's columns, for gamma = 1/4.
+    """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j, the map
+    from the integrand pieces of order j to S_j's columns, for gamma = 1/4,
+    and the map's transpose (the last order's contraction applies it).
 
     The recursion starts from S_0 = 1, the single monomial column (0, 0).
     The map is the five O_k (A_k for n_min=1) side by side, one m_j x 5m_{j-1}
@@ -323,7 +270,7 @@ def _operator_tables(n_min: int) -> tuple:
         images = np.stack([_sum_pieces(dhk, dbasis, lowest) for dhk in dh])
         p, q = np.nonzero(np.any(images != 0.0, axis=(0, 1)))
         op = csr_array(images[:, :, p, q].transpose(2, 0, 1).reshape(p.size, -1))
-        tables.append((_read_only(p), _read_only(q), _read_only(op)))
+        tables.append((_read_only(p), _read_only(q), _read_only(op), _read_only(op.T)))
     return tuple(tables)
 
 
@@ -361,12 +308,12 @@ def _order_terms(
     # einsum: a dense product would go to BLAS, whose worker threads stall
     # while another core is busy.
     terms = []
-    for j, (p, q, op) in enumerate((_P1_TABLES if n_min else _W_TABLES)[:mu_max], start=1):
+    for j, (p, q, op, op_t) in enumerate((_P1_TABLES if n_min else _W_TABLES)[:mu_max], start=1):
         v = boundary.phiB_hat**p * boundary.phi0_hat**q
         if j == mu_max:
             # Only S_j(beta) . v is needed: contract with v before the product
             # and the integral, so the last integral has one row.
-            U = (op.T @ v).reshape(5, -1)
+            U = (op_t @ v).reshape(5, -1)
             y = np.einsum("kt,ki,it->t", G, U, S)
             terms.append(float(_interval_integrals(grid, y).sum()))
             break
@@ -398,6 +345,10 @@ def w_mu(
 # --- jets for the direct xi-derivative route --------------------------------
 
 
+def _is_zero(x) -> bool:
+    return not isinstance(x, np.ndarray) and x == 0.0
+
+
 class _Jet:
     """Truncated Taylor polynomial of order 4 in delta = xi - 1.
 
@@ -420,13 +371,27 @@ class _Jet:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, _Jet):
-            out = [0.0] * 5
-            for i, a in enumerate(self.c):
-                for j in range(5 - i):
-                    out[i + j] = out[i + j] + a * other.c[j]
-            return _Jet(out)
-        return _Jet([a * other for a in self.c])
+        if not isinstance(other, _Jet):
+            return _Jet([a * other for a in self.c])
+        # out[i + j] += a_i b_j in the order of i, in place into an array this
+        # product owns: a new 2-D sum per term would fault in fresh pages every
+        # time.  A zero padding coefficient adds only a signed zero; skip it.
+        out = [None] * 5
+        for i, a in enumerate(self.c):
+            for j in range(5 - i):
+                b = other.c[j]
+                if _is_zero(a) or _is_zero(b):
+                    continue
+                acc = out[i + j]
+                if acc is None:
+                    out[i + j] = a * b
+                elif isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(
+                    acc.shape, np.shape(a), np.shape(b)
+                ):
+                    acc += a * b
+                else:
+                    out[i + j] = acc + a * b
+        return _Jet([0.0 if v is None else v for v in out])
 
     __rmul__ = __mul__
 

@@ -18,7 +18,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline  # table_coefficient; perfbench/tracing.py rebinds it
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "Coefficient",
@@ -131,11 +132,10 @@ class OscillatorSolution:
     """Gridded c, Q, f, kernel I and the regularized boundary integral, built
     complete by `solve_Q`; I_of_tau and Y_reg are NaN when not q_positive.
 
-    Read-only throughout: every array, the `richardson` mapping and the
-    private kernel antiderivative refuse in-place writes.  `c` holds the
-    samples the solve took (c(0) = c[0] and c(beta) = c[-1] exactly), so the
-    boundary data, the harmonic factor, the kernel and the series read c here
-    rather than calling the model again.
+    Read-only throughout: every array and the `richardson` mapping refuse
+    in-place writes.  `c` holds the samples the solve took (c(0) = c[0] and
+    c(beta) = c[-1] exactly), so the boundary data, the harmonic factor, the
+    kernel and the series read c here rather than calling the model again.
     """
 
     model: CoefficientModel
@@ -149,8 +149,10 @@ class OscillatorSolution:
     Y_reg: float
     q_positive: bool
     richardson: Mapping[str, float]
-    # private: antiderivative of the subtracted kernel integrand
-    _bracket_anti: CubicSpline | None = None
+    # private: the subtracted kernel integrand 1/(c Q^2) - 1/(c(0) tau^2) on the
+    # grid and its spline's node slopes (None when not q_positive)
+    _integrand: np.ndarray | None = None
+    _integrand_slopes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -249,14 +251,15 @@ def _rk4_increments(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     ])
 
 
-def _solve_systems(grid: np.ndarray, c, c1, c2, b) -> dict:
+def _solve_systems(grid: np.ndarray, c, c1, c2, b) -> tuple[dict, float]:
     """Q and f, each as (y, y') on the grid with its Richardson step-size
-    estimate, from c, c', c'' and b sampled on the lattice.
+    estimate, from c, c', c'' and b sampled on the lattice; and R(beta), where
+    R solves the Q equation with R(0) = 1, R'(0) = 0.
 
     The two systems are integrated independently (f = 2 pi c Q / c(0)^2 is a
     cross-check), each on the fine grid (two sub-steps per interval) and, for
     the estimate, the coarse one (one).  All four runs share one batch of RK4
-    sub-steps and one prefix product.
+    sub-steps and one prefix product.  R is the fine Q run's first column.
     """
     # Last axis: the fine pass's two sub-steps, then the coarse pass's one.
     h = np.diff(grid)[:, None] / np.array([2.0, 2.0, 1.0])
@@ -279,18 +282,93 @@ def _solve_systems(grid: np.ndarray, c, c1, c2, b) -> dict:
                 "increase grid_n"
             )
         out[which] = fine, est
-    return out
+    return out, 1.0 + float(prod[0, 0, 0, -1])
 
 
 def extrapolate_node0(grid: np.ndarray, y: np.ndarray):
-    """Quadratic extrapolation of y (per column) from grid nodes 1..3 to node 0."""
-    return np.polyval(np.polyfit(grid[1:4], y[1:4], 2), 0.0)
+    """y (per column) at tau = 0 from the parabola through grid nodes 1..3,
+    by the closed-form three-point Lagrange weights."""
+    t1, t2, t3 = (float(t) for t in grid[1:4])
+    w1 = t2 * t3 / ((t1 - t2) * (t1 - t3))
+    w2 = t1 * t3 / ((t2 - t1) * (t2 - t3))
+    w3 = t1 * t2 / ((t3 - t1) * (t3 - t2))
+    return w1 * y[1] + w2 * y[2] + w3 * y[3]
 
 
-def _kernel(anti, c0: float, beta: float, tau):
-    """I(tau) from the antiderivative of 1/(c Q^2) - 1/(c0 s^2) plus the exact
-    integral of the subtracted 1/(c0 s^2); tau may be a scalar or an array."""
-    return (anti(beta) - anti(tau)) + (1.0 / c0) * (1.0 / tau - 1.0 / beta)
+# ---------------------------------------------------------------------------
+# Integrals of the not-a-knot cubic spline through gridded values
+# ---------------------------------------------------------------------------
+
+
+def _spline_slopes(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through y, along the last
+    axis of y (one row per integrand).
+
+    The slopes solve the tridiagonal system of scipy's CubicSpline (same
+    rows, same arithmetic) for every row at once, in one LAPACK dgtsv call.
+    """
+    if grid.ndim != 1 or grid.size < 4:
+        raise ValueError(f"the grid must be 1-D with at least 4 nodes, got shape {grid.shape}")
+    if y.ndim == 0 or y.shape[-1] != grid.size:
+        raise ValueError(f"y's last axis must match the grid's {grid.size} nodes, got {y.shape}")
+    dx = np.diff(grid)
+    if not (np.all(dx > 0.0) and math.isfinite(grid[-1] - grid[0])):
+        raise ValueError("the grid must be finite and strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must contain only finite values")
+    slope = np.diff(y) / dx
+    d_start, d_end = grid[2] - grid[0], grid[-1] - grid[-3]
+    # Row i of the system: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1},
+    # with the not-a-knot rows (third derivative continuous at t_1 and t_{n-2})
+    # at both ends.  The bands are stored as in scipy: the upper diagonal from
+    # column 1, the lower one up to column n - 2.
+    bands = np.empty((3, grid.size))
+    bands[0, 1], bands[0, 2:] = d_start, dx[:-1]
+    bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
+    bands[2, :-2], bands[2, -2] = dx[1:], d_end
+    # b is (rows, grid), so b.T is the Fortran-ordered (grid, rows)
+    # right-hand side that dgtsv solves in place.
+    b = np.empty(y.shape)
+    b[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
+    b[..., 0] = (
+        (dx[0] + 2.0 * d_start) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
+    ) / d_start
+    b[..., -1] = (
+        dx[-1] ** 2 * slope[..., -2] + (2.0 * d_end + dx[-1]) * dx[-2] * slope[..., -1]
+    ) / d_end
+    *_, s, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b.T, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spline slope system: dgtsv info = {info}")
+    return s.T
+
+
+def _spline_pieces(grid: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The exact integral over each [t_i, t_{i+1}] of the cubic with values y
+    and slopes s at the nodes: dx/2 (y_i + y_{i+1}) + dx^2/12 (s_i - s_{i+1})."""
+    dx = np.diff(grid)
+    return 0.5 * dx * (y[..., :-1] + y[..., 1:]) + dx**2 / 12.0 * (s[..., :-1] - s[..., 1:])
+
+
+def _interval_integrals(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Integrals over [t_i, t_{i+1}] of the not-a-knot cubic spline through y,
+    along the last axis of y (one row per integrand)."""
+    grid = np.asarray(grid, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return _spline_pieces(grid, y, _spline_slopes(grid, y))
+
+
+def _sum_from_right(pieces: np.ndarray) -> np.ndarray:
+    """F_i = the sum of pieces i, i+1, ... along the last axis, with one more
+    entry, F = 0, at the end."""
+    F = np.zeros(pieces.shape[:-1] + (pieces.shape[-1] + 1,))
+    np.cumsum(pieces[..., ::-1], axis=-1, out=F[..., -2::-1])
+    return F
+
+
+def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F(t_i) = int_{t_i}^{beta} y along the last axis of y, the spline's
+    interval integrals summed from the right, with F(beta) = 0."""
+    return _sum_from_right(_interval_integrals(grid, y))
 
 
 def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
@@ -301,29 +379,35 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     # time; the grid is every fourth lattice point, bit for bit.
     lattice = np.linspace(0.0, model.beta, 4 * grid_n + 1)
     grid = lattice[::4].copy()
-    c_lattice = model.c.value(lattice)
-    systems = _solve_systems(
-        grid, c_lattice, model.c.d1(lattice), model.c.d2(lattice), model.b.value(lattice)
+    c_lattice, c1_lattice = model.c.value(lattice), model.c.d1(lattice)
+    systems, r_beta = _solve_systems(
+        grid, c_lattice, c1_lattice, model.c.d2(lattice), model.b.value(lattice)
     )
     (Q, Qdot), q_est = systems["Q"]
     (f, fdot), f_est = systems["f"]
     q_positive = bool(np.all(Q[1:] > 0.0))
     c = c_lattice[::4].copy()
 
-    anti, I_of_tau, Y_reg = None, np.full_like(grid, np.nan), math.nan
+    g = slopes = None
+    I_of_tau, Y_reg = np.full_like(grid, np.nan), math.nan
     if q_positive:
         c0 = float(c[0])
         # Subtracted kernel integrand: 1/(c Q^2) - 1/(c0 tau^2), finite at 0.
         g = np.empty_like(grid)
         g[1:] = 1.0 / (c[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
         g[0] = extrapolate_node0(grid, g)
-        anti = CubicSpline(grid, g).antiderivative()
+        slopes = _spline_slopes(grid, g)
+        F = _sum_from_right(_spline_pieces(grid, g, slopes))
+        # I = F plus the exact integral of the subtracted 1/(c0 s^2), written
+        # as (beta - tau)/(tau beta), which does not cancel near tau = beta.
         with np.errstate(divide="ignore"):  # I(0) = +inf
-            I_of_tau = _kernel(anti, c0, model.beta, grid)
+            I_of_tau = F + (1.0 / c0) * ((model.beta - grid) / (grid * model.beta))
         I_of_tau[-1] = 0.0
-        Y_reg = _regularized_Y_impl(anti, c0, model.beta, grid, c, Q, I_of_tau)
+        Y_reg = _regularized_Y_impl(
+            float(F[0]), c0, float(c1_lattice[0]), model.beta, float(Q[-1]), r_beta
+        )
     # Read-only, so a solution read later holds what the solve produced.
-    for arr in (grid, c, Q, Qdot, f, fdot, I_of_tau) + ((anti.x, anti.c) if q_positive else ()):
+    for arr in (grid, c, Q, Qdot, f, fdot, I_of_tau) + ((g, slopes) if q_positive else ()):
         arr.setflags(write=False)
     return OscillatorSolution(
         model=model,
@@ -337,7 +421,8 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         Y_reg=Y_reg,
         q_positive=q_positive,
         richardson=MappingProxyType({"Q": q_est, "f": f_est}),
-        _bracket_anti=anti,
+        _integrand=g,
+        _integrand_slopes=slopes,
     )
 
 
@@ -362,32 +447,54 @@ def kernel_I(solution: OscillatorSolution, tau: float) -> float:
         raise ValueError(f"kernel_I needs 0 < tau <= beta (I diverges at 0), got {tau}")
     if tau == beta:
         return 0.0
-    return float(_kernel(solution._bracket_anti, float(solution.c[0]), beta, tau))
+    grid = solution.grid
+    # tau lies in [t_i, t_{i+1}); I(tau) = I(t_{i+1}) plus the integral over
+    # [tau, t_{i+1}] of the subtracted integrand's spline (its Hermite cubic
+    # on that interval, integrated in closed form) and of 1/(c0 s^2).
+    i = int(np.searchsorted(grid, tau, side="right")) - 1
+    t_next, h = float(grid[i + 1]), float(grid[i + 1] - grid[i])
+    y0, y1 = (float(v) for v in solution._integrand[i : i + 2])
+    hs0, hs1 = (h * float(v) for v in solution._integrand_slopes[i : i + 2])
+    # In v = (t_{i+1} - tau) / h, a polynomial whose value at v = 1 is the
+    # interval's whole integral, h/2 (y0 + y1) + h^2/12 (s0 - s1).
+    v = (t_next - tau) / h
+    spline = h * v * (
+        y1 + v * (-0.5 * hs1 + v * ((y0 - y1) + (2.0 * hs1 + hs0) / 3.0
+                                    + v * (0.5 * (y1 - y0) - 0.25 * (hs0 + hs1))))
+    )
+    subtracted = (1.0 / float(solution.c[0])) * ((t_next - tau) / (tau * t_next))
+    return float(solution.I_of_tau[i + 1]) + (spline + subtracted)
 
 
-def _regularized_Y_impl(anti, c0, beta, grid, c, Q, I, tol: float = 1e-6) -> float:
-    """Y_reg by two routes from the kernel antiderivative `anti` and the
-    gridded c, Q and I; raises ArithmeticError when the routes disagree."""
+def _regularized_Y_impl(
+    subtracted_integral: float,
+    c0: float,
+    dc0: float,
+    beta: float,
+    q_beta: float,
+    r_beta: float,
+    tol: float = 1e-6,
+) -> float:
+    """Y_reg by two independent routes; raises ArithmeticError when they
+    disagree, and returns route (i).
+
+    subtracted_integral is the integral over [0, beta] of the subtracted kernel
+    integrand 1/(c Q^2) - 1/(c0 s^2); dc0 is c'(0), q_beta = Q(beta), and
+    r_beta = R(beta) for R, the solution of the Q equation with R(0) = 1 and
+    R'(0) = 0.
+    """
     # Route (i): analytic subtraction.  The O(tau) parts of c and Q^2 cancel
     # (Q''(0) = -c'(0)/c(0)), so no finite c'(0) remnant survives in Y_reg.
     # One does survive in (Q I)'(0) = Y_reg - c'(0)/(2 c(0)^2), the quantity
     # the phi0^2 term of the classical action needs; harmonic_propagator uses
     # Y_reg there, so its exponent is c'(0) phi0^2 / 4 too large when c'(0) != 0.
-    route_i = float(anti(beta) - anti(0.0)) - 1.0 / (c0 * beta)
+    route_i = subtracted_integral - 1.0 / (c0 * beta)
 
-    # Route (ii): read the defining bracket at the grid nodes eps = 8, 4, 2
-    # and 1 intervals (beta 2^{-6..-9} at grid_n = 512) and Richardson-
-    # extrapolate.  Below one interval an interpolated Q, its error amplified
-    # by 1/eps^2, would dominate; tied to the grid, the route converges as
-    # grid_n grows.  The bracket approaches its limit with an O(eps) leading
-    # error (the harmonic term in Q's small-tau expansion), plus O(eps^2) and
-    # O(eps^3); eliminate all three.  The eps^3 term grows with 2 b beta^2 / c
-    # and with fast variation of c near tau = 0.
-    r = [float(I[i] - grid[i] / (c[i] * Q[i] * Q[i])) for i in (8, 4, 2, 1)]
-    for order in (1, 2, 3):
-        r = [(2.0**order * fine - coarse) / (2.0**order - 1.0)
-             for coarse, fine in zip(r, r[1:])]
-    route_ii = r[0]
+    # Route (ii): the transfer matrix, with no kernel spline and no node-0
+    # extrapolation.  By Abel's identity c (R Q' - R' Q) = c(0), so
+    # (R/Q)' = -c(0)/(c Q^2), I(tau) = (R(tau)/Q(tau) - R(beta)/Q(beta)) / c(0)
+    # and (Q I)'(0) = -R(beta) / (c(0) Q(beta)).
+    route_ii = -r_beta / (c0 * q_beta) + dc0 / (2.0 * c0 * c0)
 
     if abs(route_i - route_ii) > tol * max(1.0, abs(route_i)):
         raise ArithmeticError(

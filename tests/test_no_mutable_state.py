@@ -10,7 +10,6 @@ from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
-from scipy.interpolate import PPoly
 from scipy.sparse import csr_array, issparse
 
 import anharmprop
@@ -65,19 +64,27 @@ def test_nested_and_sparse_state_is_seen():
 
 
 def _held(value):
-    """Every array and mapping a result holds: the fields of its dataclasses
-    and the arrays of the kernel antiderivative, recursively.  The model is
-    the caller's input and is not walked."""
+    """Every array and mapping a result holds: the fields of its dataclasses,
+    recursively.  The model is the caller's input and is not walked."""
     if isinstance(value, CoefficientModel):
         return
     if dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             yield from _held(getattr(value, f.name))
-    elif isinstance(value, PPoly):
-        yield value.x
-        yield value.c
     elif isinstance(value, (np.ndarray, Mapping)):
         yield value
+
+
+def test_transposed_operator_tables_are_seen():
+    # The series keeps each operator and its transpose; both are module state.
+    from anharmprop import anharmonic
+
+    for tables in (anharmonic._W_TABLES, anharmonic._P1_TABLES):
+        for p, q, op, op_t in tables:
+            assert issparse(op_t) and op_t.shape == op.T.shape
+            assert not _mutable(op_t)
+            writeable = op_t.copy()
+            assert _mutable(((p, q, op, writeable),))
 
 
 RESULTS = {

@@ -13,8 +13,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import CubicSpline, PPoly
 
 from anharmprop import (
     BoundaryData,
@@ -69,7 +69,7 @@ PINNED = {
         "fa0dea24b8bc4b8576f7bb39454e9c7a22b04bb3b6f99f5734f732d891131012",
         "0x1.01100d2813a00p-45",
         "0x1.0fdda685b64d9p-46",
-        "-0x1.19045573a14f6p+0",
+        "-0x1.19045573a14f4p+0",
     ),
     "table-c": (
         CoefficientModel(
@@ -78,7 +78,7 @@ PINNED = {
         "945772d32a8a50ac4857462a1c294c11861cbcbef0cae5814866f0ff50a6c88a",
         "0x1.2a7eda8d4a35fp-34",
         "0x1.556399f602b17p-33",
-        "-0x1.2b6a66ea2d99fp+0",
+        "-0x1.2b6a66ea2d99cp+0",
     ),
     "table-b": (
         CoefficientModel(
@@ -87,7 +87,7 @@ PINNED = {
         "76e836baa927a2c399204f569e479acef905f614f7b4e4c75158d90933f77ef7",
         "0x1.0233e24a3bbedp-43",
         "0x1.02316b2d42165p-43",
-        "-0x1.2741ecd8c8a66p+0",
+        "-0x1.2741ecd8c8a6cp+0",
     ),
 }
 
@@ -369,18 +369,32 @@ class TestQSolution:
             call()
             assert calls[0] == expected, name
 
-    def test_one_spline_per_solve(self, monkeypatch):
-        # Route (ii) of Y_reg reads Q at grid nodes; only the subtracted
-        # kernel integrand is splined.
+    def test_no_spline_per_solve(self, monkeypatch):
+        # The kernel integrand is integrated by the in-house spline integral and
+        # node 0 is extrapolated by closed-form weights: no scipy spline, PPoly
+        # or least-squares fit is built.
         builds = []
 
         def counted(*args, **kwargs):
             builds.append(args)
             return CubicSpline(*args, **kwargs)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("least-squares fit in solve_Q")
+
+        ppoly_init = PPoly.__init__
+
+        def counted_ppoly(self, *args, **kwargs):
+            builds.append(args)
+            ppoly_init(self, *args, **kwargs)
+
         monkeypatch.setattr(oscillator_ode, "CubicSpline", counted)
-        solve_Q(PINNED["poly-c"][0], grid_n=128)
-        assert len(builds) == 1
+        monkeypatch.setattr(PPoly, "__init__", counted_ppoly)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for name in PINNED:
+            solve_Q(PINNED[name][0], grid_n=128)
+        assert builds == []
 
     def test_solution_is_frozen_and_complete(self):
         sol = solve_Q(LINEAR_C)
@@ -391,7 +405,8 @@ class TestQSolution:
         assert np.all(np.isfinite(sol.I_of_tau[1:]))
         unstable = solve_Q(CoefficientModel(a=0.0, b=-30.0, c=1.0, beta=2.0))
         assert not unstable.q_positive and math.isnan(unstable.Y_reg)
-        assert np.all(np.isnan(unstable.I_of_tau)) and unstable._bracket_anti is None
+        assert np.all(np.isnan(unstable.I_of_tau))
+        assert unstable._integrand is None and unstable._integrand_slopes is None
 
 
 class TestFQProportionality:
@@ -425,14 +440,72 @@ class TestKernel:
             assert kernel_I(sol, tau) == pytest.approx(expected, rel=1e-8)
 
     def test_gridded_kernel_matches_pointwise(self):
+        # kernel_I at a node integrates the node's whole interval and adds
+        # I of the next node; I_of_tau sums every interval from beta.
         sol = solve_Q(LINEAR_C)
-        idx = [1, 64, 200, 400, 512]
-        for i in idx:
+        for i in range(1, sol.grid.size):
             assert sol.I_of_tau[i] == pytest.approx(
-                kernel_I(sol, float(sol.grid[i])), rel=1e-12, abs=1e-14
-            )
+                kernel_I(sol, float(sol.grid[i])), rel=1e-15, abs=0.0
+            ), i
         assert sol.I_of_tau[0] == np.inf
         assert sol.I_of_tau[-1] == 0.0
+
+    @pytest.mark.parametrize("grid_n", [64, 512])
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_off_grid_matches_scipy_spline(self, name, grid_n):
+        # scipy's spline through the same integrand values is the independent
+        # reference.  Its integrate() sums local antiderivatives per interval;
+        # antiderivative(beta) - antiderivative(tau) would cancel near beta.
+        model = PINNED[name][0]
+        sol = solve_Q(model, grid_n=grid_n)
+        spline = CubicSpline(sol.grid, sol._integrand)
+        c0, beta = float(sol.c[0]), model.beta
+        taus = np.concatenate([
+            np.random.default_rng(7).uniform(0.0, 0.999 * beta, 40),
+            sol.grid[1:4] / 3.0,
+            [0.999 * beta],
+        ])
+        for tau in taus:
+            expected = spline.integrate(tau, beta) + (beta - tau) / (c0 * tau * beta)
+            assert kernel_I(sol, float(tau)) == pytest.approx(expected, rel=1e-14, abs=0.0), tau
+
+    @pytest.mark.parametrize("offset", [1e-4, 1e-9, 1e-13])
+    def test_near_beta_matches_exact_local_integral(self, offset):
+        # Close to beta, I is the integral of the last interval's cubic (scipy's
+        # coefficients) over [tau, beta], here taken exactly in mpmath.
+        model = PINNED["poly-c"][0]
+        sol = solve_Q(model, grid_n=128)
+        spline = CubicSpline(sol.grid, sol._integrand)
+        beta = model.beta
+        tau = beta * (1.0 - offset)
+        with mpmath.workdps(40):
+            t0, lo, hi = (mpmath.mpf(float(v)) for v in (sol.grid[-2], tau, beta))
+            coeffs = [mpmath.mpf(float(v)) for v in spline.c[:, -1]]
+
+            def antiderivative(x):
+                return sum(ck * (x - t0) ** (4 - k) / (4 - k) for k, ck in enumerate(coeffs))
+
+            expected = antiderivative(hi) - antiderivative(lo) + (hi - lo) / (
+                mpmath.mpf(float(sol.c[0])) * lo * hi
+            )
+        assert kernel_I(sol, tau) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_gridded_kernel_is_a_right_sum(self, name):
+        # I_of_tau is the right sum of the spline's interval integrals plus the
+        # subtracted part, within rounding of the same sum in long double.
+        model = PINNED[name][0]
+        sol = solve_Q(model, grid_n=512)
+        ld = np.longdouble
+        grid, g = sol.grid.astype(ld), sol._integrand.astype(ld)
+        s = sol._integrand_slopes.astype(ld)
+        dx = np.diff(grid)
+        pieces = dx / 2 * (g[:-1] + g[1:]) + dx**2 / 12 * (s[:-1] - s[1:])
+        F = np.cumsum(pieces[::-1])[::-1]
+        beta, c0 = ld(model.beta), ld(float(sol.c[0]))
+        expected = F[1:] + (beta - grid[1:-1]) / (c0 * grid[1:-1] * beta)
+        rel = np.abs((sol.I_of_tau[1:-1] - expected) / expected)
+        assert float(np.max(rel)) <= 1e-15
 
     def test_domain_errors(self):
         sol = solve_Q(CONSTANT)
@@ -443,6 +516,38 @@ class TestKernel:
         unstable = solve_Q(CoefficientModel(a=0.0, b=-30.0, c=1.0, beta=2.0))
         with pytest.raises(ArithmeticError):
             kernel_I(unstable, 0.5)
+
+
+class TestExtrapolateNode0:
+    @pytest.mark.parametrize("kind", ["uniform", "non-uniform"])
+    def test_exact_on_quadratics(self, kind):
+        grid = np.linspace(0.0, 1.3, 9)
+        if kind == "non-uniform":
+            grid = np.array([0.0, 0.013, 0.031, 0.042, 0.2, 0.5, 0.9, 1.3])
+        coeffs = np.array([[0.7, -1.1, 2.5], [-3.0, 0.4, 0.0], [1e-3, 5.0, -9.0]])
+        # One quadratic per column, as w_mu_direct passes them.
+        y = coeffs[:, 0] + coeffs[:, 1] * grid[:, None] + coeffs[:, 2] * grid[:, None] ** 2
+        got = oscillator_ode.extrapolate_node0(grid, y)
+        scale = np.abs(y[1:4]).max(axis=0)
+        assert np.all(np.abs(got - coeffs[:, 0]) <= 8 * np.finfo(float).eps * scale)
+        assert oscillator_ode.extrapolate_node0(grid, y[:, 1]) == got[1]
+
+    def test_uniform_weights(self):
+        # On a uniform grid the weights are 3, -3, 1.
+        grid = np.linspace(0.0, 1.0, 5)
+        y = np.array([np.nan, 1.0, 10.0, 100.0, 1000.0])
+        assert oscillator_ode.extrapolate_node0(grid, y) == pytest.approx(73.0, rel=1e-15, abs=0.0)
+
+
+def _table_model(b0, beta):
+    """b and c 6-point tables: c swings by 30 % and b by 60 %."""
+    taus = np.linspace(0.0, beta, 6)
+    return CoefficientModel(
+        a=0.05,
+        b=table_coefficient(taus, [b0 * v for v in (1.0, 0.5, 1.3, 1.0, 0.7, 1.0)]),
+        c=table_coefficient(taus, [1.0, 1.3, 0.8, 1.1, 0.9, 1.0]),
+        beta=beta,
+    )
 
 
 class TestRegularizedY:
@@ -460,14 +565,80 @@ class TestRegularizedY:
 
     def test_routes_cross_checked(self):
         # Non-constant c exercises both the analytic-subtraction route and
-        # the Richardson route; solve_Q raises if they disagree.
+        # the transfer-matrix route with its c'(0) term; solve_Q raises if
+        # they disagree.
         sol = solve_Q(LINEAR_C)
         assert math.isfinite(regularized_Y(sol))
+
+    @pytest.mark.parametrize("model", [CONSTANT, LINEAR_C, PINNED["poly-c"][0]],
+                             ids=["constant", "linear-c", "poly-c"])
+    def test_transfer_matrix_r_beta(self, model, monkeypatch):
+        # R solves (c R')' = 2 b R with R(0) = 1, R'(0) = 0; its value at beta,
+        # read from the prefix product, against a tight DOP853 solve.
+        seen = []
+        real = oscillator_ode._regularized_Y_impl
+
+        def capture(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oscillator_ode, "_regularized_Y_impl", capture)
+        solve_Q(model)
+        r_beta = seen[-1][5]
+        c, b = model.c, model.b
+
+        def rhs(t, y):
+            return [y[1], (2.0 * float(b(t)) * y[0] - float(c.d1(t)) * y[1]) / float(c(t))]
+
+        ref = solve_ivp(rhs, (0.0, model.beta), [1.0, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-15).y[0, -1]
+        assert r_beta == pytest.approx(ref, rel=1e-10)
+        if model is CONSTANT:
+            # R = cosh(omega tau) = Q': the fine run's RK4 maps have equal
+            # diagonals, so R(beta) and Q'(beta) agree to rounding.
+            assert r_beta == pytest.approx(float(solve_Q(model).Qdot[-1]), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("b0", [0.5, 1, 2, 4, 8])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_routes_agree_on_swinging_tables(self, b0, beta):
+        # The grid-read bracket route this check once used was 1.6e-6 to
+        # 1.4e-5 off route (i) on these models at grid_n = 512, and raised.
+        assert math.isfinite(regularized_Y(solve_Q(_table_model(b0, beta), grid_n=512)))
+
+    @pytest.mark.parametrize("route", ["i", "ii"])
+    def test_perturbed_route_raises(self, route, monkeypatch):
+        # Each route is checked against the other: 1e-5 moved on either one
+        # must raise, 1e-9 must not.
+        for shift, raises in ((1e-9, False), (1e-5, True)):
+            monkeypatch.undo()
+            if route == "i":
+                real = oscillator_ode._sum_from_right
+
+                def perturbed(pieces, real=real, shift=shift):
+                    F = real(pieces)
+                    F[0] += shift  # F[0] enters route (i) only; I(0) = inf
+                    return F
+
+                monkeypatch.setattr(oscillator_ode, "_sum_from_right", perturbed)
+            else:
+                real = oscillator_ode._solve_systems
+
+                def perturbed(*args, real=real, shift=shift):
+                    systems, r_beta = real(*args)
+                    return systems, r_beta + shift
+
+                monkeypatch.setattr(oscillator_ode, "_solve_systems", perturbed)
+            if raises:
+                with pytest.raises(ArithmeticError, match="routes disagree"):
+                    solve_Q(LINEAR_C)
+            else:
+                assert math.isfinite(solve_Q(LINEAR_C).Y_reg)
 
     @pytest.mark.parametrize("case", ["poly-b", "table-abc"])
     def test_routes_agree_with_large_eps3_term(self, case):
         # Large 2 b beta^2 / c and a fast-varying table c near tau = 0 give the
-        # bracket a sizeable O(eps^3) term; the Richardson route must remove it.
+        # grid-read bracket a sizeable O(eps^3) term; the returned route (i)
+        # does not read the bracket, and its value is pinned.
         if case == "poly-b":
             beta = 1.9598783855645927
             model = CoefficientModel(
