@@ -246,6 +246,30 @@ class TestBoundaryPolynomials:
         )
 
 
+def _plain_jet_product(x, y):
+    """The jet product as a plain sum: out[i + j] = out[i + j] + x_i y_j, i ascending."""
+    out = [0.0] * 5
+    for i, a in enumerate(x):
+        for j in range(5 - i):
+            out[i + j] = out[i + j] + a * y[j]
+    return out
+
+
+class TestJetProduct:
+    def test_bits_equal_plain_sum(self):
+        # The in-place product rounds exactly as the plain sum does, which
+        # keeps w_mu_direct's values; the operands mix column, row and scalar
+        # coefficients as w_mu_direct's do.
+        rng = np.random.default_rng(3)
+        col, row = rng.standard_normal((6, 1)), rng.standard_normal((1, 6))
+        u = anharmonic._Jet([0.3 * col + 0.1, 0.3 * row - 0.2])
+        w = anharmonic._Jet([col, 2.0 * row, row])
+        for x, y in ((u, w), (w, w), (u * w, u), (w**3, u**2), (w**2, 2.0 * w**2)):
+            got = (x * y).c
+            for k, (g, e) in enumerate(zip(got, _plain_jet_product(x.c, y.c))):
+                assert np.array_equal(np.broadcast_to(g, np.shape(e)), e), k
+
+
 class TestWmuRoutes:
     @pytest.mark.parametrize("mu", [1, 2])
     def test_reference_model_agreement(self, mu):
