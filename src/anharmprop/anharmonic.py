@@ -345,10 +345,6 @@ def w_mu(
 # --- jets for the direct xi-derivative route --------------------------------
 
 
-def _is_zero(x) -> bool:
-    return not isinstance(x, np.ndarray) and x == 0.0
-
-
 class _Jet:
     """Truncated Taylor polynomial of order 4 in delta = xi - 1.
 
@@ -373,33 +369,9 @@ class _Jet:
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet([a * other for a in self.c])
-        # out[i + j] += a_i b_j in the order of i, in place into an array this
-        # product owns: a new 2-D sum per term would fault in fresh pages every
-        # time.  A zero padding coefficient adds only a signed zero; skip it.
-        out = [None] * 5
-        for i, a in enumerate(self.c):
-            for j in range(5 - i):
-                b = other.c[j]
-                if _is_zero(a) or _is_zero(b):
-                    continue
-                acc = out[i + j]
-                if acc is None:
-                    out[i + j] = a * b
-                elif isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(
-                    acc.shape, np.shape(a), np.shape(b)
-                ):
-                    acc += a * b
-                else:
-                    out[i + j] = acc + a * b
-        return _Jet([0.0 if v is None else v for v in out])
+        return _Jet([sum(self.c[i] * other.c[k - i] for i in range(k + 1)) for k in range(5)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = _Jet([1.0])
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 def w_mu_direct(

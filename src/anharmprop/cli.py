@@ -14,6 +14,7 @@ Subcommands:
 Config grammar: flat ``key = value`` lines, ``#`` comments (at the start of
 a line or after whitespace, so ``#`` inside a value such as a path is kept),
 optional ``[section]`` headers that prefix following keys with ``section.``.
+A key that neither ``propagator`` nor ``compare`` reads is an error.
 Coefficients accept ``const:<v>``, ``poly:<c0,c1,...>`` or ``table:<path>``
 (CSV of ``tau,value`` rows).  All emitted CSV uses ``.`` decimals, 17
 significant digits and LF line endings, and is a deterministic function of
@@ -86,6 +87,14 @@ def parse_config(path: str) -> dict[str, str]:
         first_line[key] = lineno
         cfg[key] = value
     return cfg
+
+
+# Every key that propagator or compare reads.  Both accept the same config, so
+# a key outside this set is read by neither and is refused, not ignored.
+_CONFIG_KEYS = frozenset(
+    ["beta", "phi0", "phiN", "mu_max", "grid_n", "coeff.a", "coeff.b", "coeff.c",
+     "oracle.N_list", "oracle.samples", "oracle.seed", "oracle.workers"]
+)
 
 
 def _finite(text: str) -> float:
@@ -367,6 +376,9 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")
             cfg = parse_config(args.config)
+            unknown = sorted(cfg.keys() - _CONFIG_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
             base = Path(args.config).resolve().parent
             if args.command == "propagator":
                 run_propagator(cfg, base, outdir)

@@ -276,7 +276,7 @@ def _solve_systems(grid: np.ndarray, c, c1, c2, b) -> tuple[dict, float]:
     for which, fine, coarse in (("Q", y[:, 0], y[:, 2]), ("f", y[:, 1], y[:, 3])):
         scale = max(1.0, float(np.max(np.abs(fine))))
         est = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
-        if est > 1e-6:
+        if not est <= 1e-6:  # a NaN estimate fails too
             raise ArithmeticError(
                 f"{which}-ODE step-size failure: Richardson estimate {est:.3e}; "
                 "increase grid_n"
@@ -380,6 +380,14 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     lattice = np.linspace(0.0, model.beta, 4 * grid_n + 1)
     grid = lattice[::4].copy()
     c_lattice, c1_lattice = model.c.value(lattice), model.c.d1(lattice)
+    # CoefficientModel probes c at 257 points only; a zero between them
+    # would reach the ODEs as a division by zero.
+    if not np.all(c_lattice > 0.0):
+        i = int(np.argmin(c_lattice > 0.0))
+        raise ValueError(
+            "kinetic coefficient c(tau) must be positive on [0, beta]; "
+            f"c({float(lattice[i])!r}) = {float(c_lattice[i])!r} on the grid_n={grid_n} lattice"
+        )
     systems, r_beta = _solve_systems(
         grid, c_lattice, c1_lattice, model.c.d2(lattice), model.b.value(lattice)
     )

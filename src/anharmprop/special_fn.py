@@ -258,30 +258,26 @@ def pcf_taylor_shift_scaled(
 
 
 def hermite(n: int, x: float) -> float:
-    """Ordinary (physicists') Hermite polynomial H_n(x) by stable recurrence."""
-    if not 0 <= n <= 64:
-        raise ValueError(f"n must lie in [0, 64], got {n}")
-    h_prev, h = 1.0, 2.0 * x
-    if n == 0:
-        return h_prev
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return h
+    """Ordinary (physicists') Hermite polynomial H_n(x) = H_n(2x, -1)."""
+    return hermite2(n, 2.0 * x, -1.0)
 
 
 def hermite2(n: int, x, y):
     """Two-variable Hermite polynomial H_n(x, y) = n! sum x^{n-2k} y^k / ((n-2k)! k!).
 
-    Generating function: sum_n z^n/n! H_n(x,y) = exp(x z + y z^2).  Accepts any
-    arguments supporting +, * and integer powers (floats, arrays, jets).
+    Generating function: sum_n z^n/n! H_n(x,y) = exp(x z + y z^2).  Computed by
+    the recurrence H_{k+1} = x H_k + 2k y H_{k-1} from H_0 = 1, H_1 = x, so it
+    accepts any arguments supporting + and * (floats, arrays, jets, Fractions);
+    its constants are integers, which keeps Fraction arguments exact.
     """
     if not 0 <= n <= 64:
         raise ValueError(f"n must lie in [0, 64], got {n}")
-    total = 0.0
-    for k in range(n // 2 + 1):
-        coeff = math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
-        total = total + coeff * x ** (n - 2 * k) * y**k
-    return total
+    h_prev, h = 1, x
+    if n == 0:
+        return h_prev
+    for k in range(1, n):
+        h_prev, h = h, x * h + 2 * k * y * h_prev
+    return h
 
 
 def _incomplete_hermite_table(n: int, kappa: int, gamma: float) -> np.ndarray:

@@ -170,6 +170,44 @@ class TestPropagatorCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "breakdown.csv").exists()
 
+    @pytest.mark.parametrize("command", ["propagator", "compare"])
+    @pytest.mark.parametrize(
+        "line, bad_line, key",
+        [
+            ("mu_max = 2", "mu_mx = 4", "mu_mx"),
+            ("seed = 77", "seed = 77\n\n[tol]\nseries = 1e-8", "tol.series"),
+        ],
+        ids=["misspelt", "unread-section"],
+    )
+    def test_unknown_key_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, line, bad_line, key
+    ):
+        # A key no subcommand reads is refused before any solve; a misspelt
+        # mu_max would otherwise run silently with the default 2.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command solved before checking its config")
+
+        monkeypatch.setattr(cli, "propagator", no_work)
+        cfg = write_cfg(tmp_path / "bad.cfg", SMALL_CFG.replace(line, bad_line))
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_c_zero_between_probe_points_exits_3(self, tmp_path, capsys):
+        # c = (tau - 1/2048)^2 passes the model's probe but is exactly 0 at
+        # lattice point 1 of grid_n 512.
+        cfg = write_cfg(
+            tmp_path / "c0.cfg",
+            SMALL_CFG.replace("grid_n = 256", "grid_n = 512").replace(
+                "c = const:1.0", "c = poly:2.384185791015625e-07,-0.0009765625,1.0"
+            ),
+        )
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "kinetic coefficient c(tau) must be positive" in err
+        assert "Traceback" not in err
+
     def test_missing_config_flag_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "propagator"]) == 2
 
@@ -388,6 +426,12 @@ class TestTableCommand:
         assert by_key[(0, 0.0)] == 1.0
         assert by_key[(1, 1.0)] == 2.0
         assert by_key[(2, 1.0)] == 2.0
+
+    def test_default_hermite_table_golden(self, tmp_path):
+        # The default table (n <= 8, x in -2:2:9) is pinned byte for byte.
+        assert main(["--out", str(tmp_path), "table", "--kind", "hermite"]) == 0
+        got = (tmp_path / "hermite.csv").read_bytes()
+        assert got == (GOLDEN / "hermite.csv").read_bytes()
 
     def test_incomplete_hermite_table(self, tmp_path):
         rc = main(

@@ -245,6 +245,27 @@ class TestQSolution:
         assert sol.Q == pytest.approx(expected, rel=1e-10, abs=1e-12)
         assert sol.Qdot == pytest.approx(np.cosh(omega * sol.grid), rel=1e-10)
 
+    def test_c_zero_between_probe_points_raises(self):
+        # c = (tau - 1/2048)^2 passes CoefficientModel's 257-point probe, but
+        # is exactly 0 at lattice point 1 of grid_n 512: refused by name
+        # instead of reaching the ODEs as a NaN Richardson estimate.
+        model = CoefficientModel(
+            a=0.05, b=0.5, c=poly_coefficient([2.0**-22, -(2.0**-10), 1.0]), beta=1.0
+        )
+        with pytest.raises(ValueError, match=r"c\(tau\) must be positive"):
+            solve_Q(model, grid_n=512)
+
+    def test_nan_richardson_estimate_fails_the_step_size_check(self):
+        # A NaN sample makes the estimate NaN, which must fail, not pass, the
+        # 1e-6 gate.
+        grid = np.linspace(0.0, 1.0, 65)
+        lattice = np.linspace(0.0, 1.0, 257)
+        b = np.full_like(lattice, 0.5)
+        b[5] = math.nan
+        ones, zeros = np.ones_like(lattice), np.zeros_like(lattice)
+        with pytest.raises(ArithmeticError, match="Richardson estimate nan"):
+            oscillator_ode._solve_systems(grid, ones, zeros, zeros, b)
+
     def test_free_particle(self):
         sol = solve_Q(CoefficientModel(a=0.0, b=0.0, c=1.0, beta=2.0))
         assert sol.Q == pytest.approx(sol.grid, abs=1e-13)
@@ -719,8 +740,8 @@ class TestHarmonicPropagator:
         sol = solve_Q(LINEAR_C)
         boundary = make_boundary(sol, 0.4, -0.3)
         pref, expo, value = harmonic_propagator(sol, boundary)
-        assert value == pytest.approx(pref * math.exp(expo), rel=1e-15)
-        assert pref == pytest.approx(1.0 / math.sqrt(float(sol.f[-1])), rel=1e-15)
+        assert value == pytest.approx(pref * math.exp(expo), rel=1e-15, abs=0.0)
+        assert pref == pytest.approx(1.0 / math.sqrt(float(sol.f[-1])), rel=1e-15, abs=0.0)
 
     def test_boundary_hatted_variables(self):
         sol = solve_Q(CONSTANT)

@@ -1,5 +1,6 @@
 """Special-function layer: parabolic cylinder functions and Hermite families."""
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -164,6 +165,19 @@ class TestHermite:
                 hermite(n, 0.7), rel=1e-12, abs=1e-12
             )
 
+    def test_two_variable_exact_on_fractions(self):
+        # The recurrence keeps Fraction arguments exact: it equals the explicit
+        # sum n! sum_k x^{n-2k} y^k / ((n-2k)! k!) with no rounding.
+        for x in (Fraction(3, 7), Fraction(-5, 4)):
+            for y in (Fraction(2, 3), Fraction(-1, 9)):
+                for n in range(17):
+                    ref = sum(
+                        Fraction(math.factorial(n), math.factorial(n - 2 * k) * math.factorial(k))
+                        * x ** (n - 2 * k) * y**k
+                        for k in range(n // 2 + 1)
+                    )
+                    assert hermite2(n, x, y) == ref, (n, x, y)
+
     def test_two_variable_homogeneity(self):
         lam, x, y = 1.7, 0.9, 0.4
         for n in range(8):
@@ -193,7 +207,7 @@ class TestIncompleteHermite:
     def test_factorization_at_zero_gamma(self):
         spec = HermiteIncompleteSpec(n=4, kappa=2, gamma=0.0)
         assert incomplete_hermite(spec, 0.5, 0.7) == pytest.approx(
-            0.5**2 * 0.7**2 / (2.0 * 2.0), rel=1e-13
+            0.5**2 * 0.7**2 / (2.0 * 2.0), rel=1e-13, abs=0.0
         )
 
 
