@@ -216,6 +216,8 @@ def run_compare(cfg: dict[str, str], base: Path, outdir: Path) -> None:
         raise ConfigError(f"bad value for oracle.samples: {samples} is below 10000")
     if workers < 1:
         raise ConfigError(f"bad value for oracle.workers: {workers} is below 1")
+    if seed < 0:
+        raise ConfigError(f"bad value for oracle.seed: {seed} is below 0")
     model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
 
     analytic = propagator(model, phi0, phiN, mu_max=mu_max, grid_n=grid_n).total

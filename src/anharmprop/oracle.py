@@ -305,6 +305,8 @@ def wn_montecarlo(
         raise ValueError(f"samples must be >= 10000, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     phi0, phiN = _endpoints(boundary)
     sm = sliced_model(model, N, phi0, phiN)
     chol, mean, log_z = _bridge_setup(sm)

@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline  # table_coefficient; perfbench/tracing.py rebinds it
-from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "Coefficient",
@@ -150,9 +149,8 @@ class OscillatorSolution:
     q_positive: bool
     richardson: Mapping[str, float]
     # private: the subtracted kernel integrand 1/(c Q^2) - 1/(c(0) tau^2) on the
-    # grid and its spline's node slopes (None when not q_positive)
+    # grid (None when not q_positive)
     _integrand: np.ndarray | None = None
-    _integrand_slopes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -296,65 +294,65 @@ def extrapolate_node0(grid: np.ndarray, y: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Integrals of the not-a-knot cubic spline through gridded values
+# Integrals of the local quintic through gridded values
 # ---------------------------------------------------------------------------
 
 
-def _spline_slopes(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through y, along the last
-    axis of y (one row per integrand).
-
-    The slopes solve the tridiagonal system of scipy's CubicSpline (same
-    rows, same arithmetic) for every row at once, in one LAPACK dgtsv call.
-    """
-    if grid.ndim != 1 or grid.size < 4:
-        raise ValueError(f"the grid must be 1-D with at least 4 nodes, got shape {grid.shape}")
-    if y.ndim == 0 or y.shape[-1] != grid.size:
-        raise ValueError(f"y's last axis must match the grid's {grid.size} nodes, got {y.shape}")
-    dx = np.diff(grid)
-    if not (np.all(dx > 0.0) and math.isfinite(grid[-1] - grid[0])):
-        raise ValueError("the grid must be finite and strictly increasing")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must contain only finite values")
-    slope = np.diff(y) / dx
-    d_start, d_end = grid[2] - grid[0], grid[-1] - grid[-3]
-    # Row i of the system: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1},
-    # with the not-a-knot rows (third derivative continuous at t_1 and t_{n-2})
-    # at both ends.  The bands are stored as in scipy: the upper diagonal from
-    # column 1, the lower one up to column n - 2.
-    bands = np.empty((3, grid.size))
-    bands[0, 1], bands[0, 2:] = d_start, dx[:-1]
-    bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
-    bands[2, :-2], bands[2, -2] = dx[1:], d_end
-    # b is (rows, grid), so b.T is the Fortran-ordered (grid, rows)
-    # right-hand side that dgtsv solves in place.
-    b = np.empty(y.shape)
-    b[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
-    b[..., 0] = (
-        (dx[0] + 2.0 * d_start) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
-    ) / d_start
-    b[..., -1] = (
-        dx[-1] ** 2 * slope[..., -2] + (2.0 * d_end + dx[-1]) * dx[-2] * slope[..., -1]
-    ) / d_end
-    *_, s, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b.T, 1, 1, 1, 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"spline slope system: dgtsv info = {info}")
-    return s.T
+def _lagrange_integrals() -> np.ndarray:
+    """1440 times the coefficient of v^(k+1) in the integral over
+    [p + 1 - v, p + 1] of node j's Lagrange basis on the nodes 0..5, as
+    [p, j, k] for the window's intervals p = 0..4.  The exact values are
+    integers; these are within rounding of them."""
+    P = np.polynomial.polynomial
+    table = np.empty((5, 6, 6))
+    for j in range(6):
+        others = np.delete(np.arange(6.0), j)
+        for p in range(5):
+            # The basis at x = p + 1 - v: prod over the other nodes m of
+            # (v - (p + 1 - m)) / (m - j).
+            in_v = P.polyfromroots(p + 1.0 - others) / np.prod(others - j)
+            table[p, j] = 1440.0 * P.polyint(in_v)[1:]
+    return table
 
 
-def _spline_pieces(grid: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The exact integral over each [t_i, t_{i+1}] of the cubic with values y
-    and slopes s at the nodes: dx/2 (y_i + y_{i+1}) + dx^2/12 (s_i - s_{i+1})."""
-    dx = np.diff(grid)
-    return 0.5 * dx * (y[..., :-1] + y[..., 1:]) + dx**2 / 12.0 * (s[..., :-1] - s[..., 1:])
+# An interval's window is the six nodes around it (p = 2), moved inward at
+# the grid's ends (p = 0, 1 and 3, 4).  The table at v = 1 gives the whole
+# interval's weights, (11, -93, 802, 802, -93, 11) inside; each row sums to 1440.
+_QUINTIC_TABLE = np.rint(_lagrange_integrals())
+_QUINTIC_WEIGHTS = _QUINTIC_TABLE.sum(axis=-1)
+_QUINTIC_TABLE.setflags(write=False)
+_QUINTIC_WEIGHTS.setflags(write=False)
 
 
 def _interval_integrals(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Integrals over [t_i, t_{i+1}] of the not-a-knot cubic spline through y,
-    along the last axis of y (one row per integrand)."""
+    """Integrals over [t_i, t_{i+1}] of the quintic through the six nodes
+    around each interval, along the last axis of y (one row per integrand).
+
+    Each is a fixed-order sum of six node values times integer weights,
+    scaled by the interval's own dx / 1440, with no BLAS call; the weights
+    assume a uniform grid, which is checked to rounding.
+    """
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _spline_pieces(grid, y, _spline_slopes(grid, y))
+    if grid.ndim != 1 or grid.size < 6:
+        raise ValueError(f"the grid must be 1-D with at least 6 nodes, got shape {grid.shape}")
+    if y.ndim == 0 or y.shape[-1] != grid.size:
+        raise ValueError(f"y's last axis must match the grid's {grid.size} nodes, got {y.shape}")
+    n = grid.size - 1
+    dx = np.diff(grid)
+    h = (grid[-1] - grid[0]) / n
+    # NaN fails every comparison, so a non-finite node is refused here too.
+    if not (0.0 < h < math.inf and np.all(np.abs(dx - h) <= 8e-16 * np.max(np.abs(grid)))):
+        raise ValueError("the grid must be finite, increasing and uniform")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must contain only finite values")
+    inner = _QUINTIC_WEIGHTS[2, 0] * y[..., : n - 4]
+    for j in range(1, 6):
+        inner += _QUINTIC_WEIGHTS[2, j] * y[..., j : j + n - 4]
+    # The two intervals at each end share the end's window, each with its row.
+    window = np.arange(6) + np.array([[0], [0], [n - 5], [n - 5]])
+    ends = (y[..., window] * _QUINTIC_WEIGHTS[[0, 1, 3, 4]]).sum(axis=-1)
+    return np.concatenate([ends[..., :2], inner, ends[..., 2:]], axis=-1) * (dx / 1440.0)
 
 
 def _sum_from_right(pieces: np.ndarray) -> np.ndarray:
@@ -366,8 +364,8 @@ def _sum_from_right(pieces: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_from_right(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(t_i) = int_{t_i}^{beta} y along the last axis of y, the spline's
-    interval integrals summed from the right, with F(beta) = 0."""
+    """F(t_i) = int_{t_i}^{beta} y along the last axis of y, the interval
+    integrals summed from the right, with F(beta) = 0."""
     return _sum_from_right(_interval_integrals(grid, y))
 
 
@@ -396,7 +394,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
     q_positive = bool(np.all(Q[1:] > 0.0))
     c = c_lattice[::4].copy()
 
-    g = slopes = None
+    g = None
     I_of_tau, Y_reg = np.full_like(grid, np.nan), math.nan
     if q_positive:
         c0 = float(c[0])
@@ -404,8 +402,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         g = np.empty_like(grid)
         g[1:] = 1.0 / (c[1:] * Q[1:] ** 2) - 1.0 / (c0 * grid[1:] ** 2)
         g[0] = extrapolate_node0(grid, g)
-        slopes = _spline_slopes(grid, g)
-        F = _sum_from_right(_spline_pieces(grid, g, slopes))
+        F = _cumulative_from_right(grid, g)
         # I = F plus the exact integral of the subtracted 1/(c0 s^2), written
         # as (beta - tau)/(tau beta), which does not cancel near tau = beta.
         with np.errstate(divide="ignore"):  # I(0) = +inf
@@ -415,7 +412,7 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
             float(F[0]), c0, float(c1_lattice[0]), model.beta, float(Q[-1]), r_beta
         )
     # Read-only, so a solution read later holds what the solve produced.
-    for arr in (grid, c, Q, Qdot, f, fdot, I_of_tau) + ((g, slopes) if q_positive else ()):
+    for arr in (grid, c, Q, Qdot, f, fdot, I_of_tau) + ((g,) if q_positive else ()):
         arr.setflags(write=False)
     return OscillatorSolution(
         model=model,
@@ -430,7 +427,6 @@ def solve_Q(model: CoefficientModel, grid_n: int = 512) -> OscillatorSolution:
         q_positive=q_positive,
         richardson=MappingProxyType({"Q": q_est, "f": f_est}),
         _integrand=g,
-        _integrand_slopes=slopes,
     )
 
 
@@ -457,21 +453,19 @@ def kernel_I(solution: OscillatorSolution, tau: float) -> float:
         return 0.0
     grid = solution.grid
     # tau lies in [t_i, t_{i+1}); I(tau) = I(t_{i+1}) plus the integral over
-    # [tau, t_{i+1}] of the subtracted integrand's spline (its Hermite cubic
-    # on that interval, integrated in closed form) and of 1/(c0 s^2).
+    # [tau, t_{i+1}] of the subtracted integrand's local quintic (the one the
+    # grid's pieces integrate) and of 1/(c0 s^2).
     i = int(np.searchsorted(grid, tau, side="right")) - 1
+    start = min(max(i - 2, 0), grid.size - 6)
     t_next, h = float(grid[i + 1]), float(grid[i + 1] - grid[i])
-    y0, y1 = (float(v) for v in solution._integrand[i : i + 2])
-    hs0, hs1 = (h * float(v) for v in solution._integrand_slopes[i : i + 2])
-    # In v = (t_{i+1} - tau) / h, a polynomial whose value at v = 1 is the
-    # interval's whole integral, h/2 (y0 + y1) + h^2/12 (s0 - s1).
+    # In v = (t_{i+1} - tau) / h the quintic's integral is h/1440 times
+    # v (c_0 + c_1 v + ... + c_5 v^5): no constant term, so nothing cancels
+    # next to a node, and its value at v = 1 is the interval's whole piece.
+    c = (solution._integrand[start : start + 6, None] * _QUINTIC_TABLE[i - start]).sum(axis=0)
     v = (t_next - tau) / h
-    spline = h * v * (
-        y1 + v * (-0.5 * hs1 + v * ((y0 - y1) + (2.0 * hs1 + hs0) / 3.0
-                                    + v * (0.5 * (y1 - y0) - 0.25 * (hs0 + hs1))))
-    )
+    quintic = (h / 1440.0) * v * np.polynomial.polynomial.polyval(v, c)
     subtracted = (1.0 / float(solution.c[0])) * ((t_next - tau) / (tau * t_next))
-    return float(solution.I_of_tau[i + 1]) + (spline + subtracted)
+    return float(solution.I_of_tau[i + 1]) + (float(quintic) + subtracted)
 
 
 def _regularized_Y_impl(

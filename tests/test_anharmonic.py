@@ -5,12 +5,16 @@ propagator breakdown.
 import dataclasses
 import math
 from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.sparse import csr_array
 
 from anharmprop import (
@@ -96,9 +100,8 @@ def _grid(n, kind, beta=1.3):
     u = np.linspace(0.0, 1.0, n)
     if kind == "uniform":
         return beta * u
-    # Strictly increasing (the derivative 1 + 0.3 cos(pi u) stays positive),
-    # with spacings that vary by a factor of about 2 across the grid.
-    return beta * (u + 0.3 * np.sin(np.pi * u) / np.pi)
+    # Uniform, away from 0: the uniformity check is relative to the largest node.
+    return 0.4 + beta * u
 
 
 def _integrands(grid):
@@ -108,23 +111,54 @@ def _integrands(grid):
     return np.exp(-k * t) * np.cos(3.0 * k * t) + 0.1 * k * t**2 - 0.5
 
 
+def _local_quintic_ppoly(grid, y):
+    """scipy's PPoly whose piece on each interval is the quintic through the
+    six nodes around it (moved inward at the grid's ends), found by a
+    Vandermonde solve in the local coordinate u = (t - t_i) / dx_i."""
+    n = grid.size - 1
+    nodes = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(6)
+    dx = np.diff(grid)[:, None]
+    u = (grid[nodes] - grid[:-1, None]) / dx
+    coeffs = np.linalg.solve(u[..., None] ** np.arange(6), y[nodes][..., None])[..., 0]
+    return PPoly((coeffs / dx ** np.arange(6))[:, ::-1].T, grid)
+
+
+def _exact_integral(coeffs, lo, hi):
+    """int_lo^hi of the polynomial with the given ascending coefficients, in
+    Fractions of the float arguments."""
+    anti = [Fraction(0)] + [Fraction(float(c)) / (k + 1) for k, c in enumerate(coeffs)]
+
+    def value(t):
+        t = Fraction(float(t))
+        return sum(c * t**k for k, c in enumerate(anti))
+
+    return float(value(hi) - value(lo))
+
+
 class TestCumulativeFromRight:
     @pytest.mark.parametrize("n", [64, 257, 512, 1025])
-    @pytest.mark.parametrize("kind", ["uniform", "non-uniform"])
+    @pytest.mark.parametrize("kind", ["uniform", "shifted"])
     def test_matches_scipy_spline_antiderivative(self, n, kind):
+        # The reference is scipy's piecewise polynomial of the same local
+        # quintics, integrated by scipy interval by interval and summed from
+        # the right in long double.
         grid = _grid(n, kind)
         rows = _integrands(grid)
         for y in (rows[2], rows):
-            anti = CubicSpline(grid, y, axis=-1).antiderivative()
-            expected = anti(grid[-1])[..., None] - anti(grid)
+            expected = []
+            for row in np.atleast_2d(y):
+                pp = _local_quintic_ppoly(grid, row)
+                pieces = [pp.integrate(a, b) for a, b in zip(grid[:-1], grid[1:])]
+                F = np.cumsum(np.array(pieces, dtype=np.longdouble)[::-1])[::-1]
+                expected.append(np.append(F, 0.0))
+            expected = np.array(expected, dtype=float).reshape(y.shape)
             got = oscillator_ode._cumulative_from_right(grid, y)
             assert got.shape == y.shape
             assert np.all(got[..., -1] == 0.0)
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("kind", ["uniform", "non-uniform"])
+    @pytest.mark.parametrize("kind", ["uniform", "shifted"])
     def test_exact_on_a_cubic(self, kind):
-        # A not-a-knot spline reproduces a cubic, so F is its exact integral.
         grid = _grid(9, kind, beta=2.0)
         y = 1.0 + 2.0 * grid - grid**2 + 0.5 * grid**3
 
@@ -136,6 +170,52 @@ class TestCumulativeFromRight:
         atol = 8 * np.finfo(float).eps * np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
 
+    @given(
+        n=st.integers(6, 300),
+        start=st.floats(-10.0, 10.0),
+        length=st.floats(0.01, 20.0),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_on_quintics(self, n, start, length, coeffs):
+        # The rule integrates every polynomial of degree <= 5 exactly; the
+        # exact integral is taken in Fractions.
+        grid = np.linspace(start, start + length, n)
+        y = np.polynomial.polynomial.polyval(grid, coeffs)
+        got = oscillator_ode._cumulative_from_right(grid, y)
+        expected = [_exact_integral(coeffs, t, grid[-1]) for t in grid]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(y)) * length
+
+    def test_sixth_order_convergence(self):
+        # y = exp(-t) cos(3t) on [0, 1.3], against its antiderivative
+        # exp(-t) (3 sin 3t - cos 3t) / 10 in 30-digit mpmath: the largest
+        # error over the nodes falls by about 2^6 each time h is halved.
+        beta = 1.3
+        errors = []
+        for n in (32, 64, 128):
+            grid = np.linspace(0.0, beta, n + 1)
+            got = oscillator_ode._cumulative_from_right(grid, np.exp(-grid) * np.cos(3.0 * grid))
+            with mpmath.workdps(30):
+
+                def anti(t):
+                    t = mpmath.mpf(float(t))
+                    return mpmath.exp(-t) * (3 * mpmath.sin(3 * t) - mpmath.cos(3 * t)) / 10
+
+                expected = [float(anti(beta) - anti(t)) for t in grid]
+            errors.append(np.max(np.abs(got - expected)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 2**5.8 < coarse / fine < 2**6.2
+
+    @pytest.mark.parametrize("grid_n", [64, 512, 4096, 16384])
+    @pytest.mark.parametrize("beta", [0.5, 1.3, 2.0])
+    def test_accepts_linspace_grids(self, grid_n, beta):
+        # solve_Q's grid, every fourth point of its RK4 lattice, passes the
+        # uniformity check, and so does linspace itself.
+        lattice = np.linspace(0.0, beta, 4 * grid_n + 1)
+        for grid in (lattice[::4], np.linspace(0.0, beta, grid_n + 1)):
+            F = oscillator_ode._cumulative_from_right(grid, np.ones_like(grid))
+            assert F[0] == pytest.approx(beta, rel=1e-12, abs=0.0)
+
     def test_refuses_bad_input(self):
         grid = np.linspace(0.0, 1.0, 8)
         y = np.sin(grid)
@@ -143,12 +223,16 @@ class TestCumulativeFromRight:
             (grid[::-1], y),  # decreasing
             (np.array([0.0, 0.2, 0.2, 0.5, 0.7, 1.0, 1.1, 1.2]), y),  # repeated node
             (np.array([0.0, 0.2, np.nan, 0.5, 0.7, 1.0, 1.1, 1.2]), y),
+            (np.where(grid > 0.9, np.inf, grid), y),
+            (_grid(8, "uniform") ** 1.5, y),  # increasing, not uniform
+            (grid + np.where(np.arange(8) == 3, 1e-12, 0.0), y),  # 1e-12 off uniform
             (grid.reshape(2, 4), y),  # not 1-D
-            (grid[:3], y[:3]),  # fewer than 4 nodes
+            (grid[:5], y[:5]),  # fewer than 6 nodes
             (grid, y[:-1]),  # shape mismatch
             (grid, np.stack([y, y]).T),  # grid along the first axis
             (grid, np.float64(1.0)),
             (grid, np.where(grid > 0.5, np.inf, y)),
+            (grid, np.where(grid > 0.5, np.nan, y)),
         ]
         for g, v in bad:
             with pytest.raises(ValueError):
@@ -437,7 +521,7 @@ class TestP1Series:
 
     @pytest.mark.parametrize(
         "mu_max, pinned",
-        [(0, "-0x1.4d86ce5d91230p-8"), (2, "-0x1.4a6ea26f36fddp-8"), (4, "-0x1.4a7e01eaaac26p-8")],
+        [(0, "-0x1.4d86ce5d9c096p-8"), (2, "-0x1.4a6ea26f42206p-8"), (4, "-0x1.4a7e01eab5e88p-8")],
         ids=["mu0", "mu2", "mu4"],
     )
     def test_breakdown_p1_computed_on_access(self, monkeypatch, mu_max, pinned):
@@ -545,7 +629,7 @@ class TestRecursionMatchesKappaSum:
 def _uncontracted_order_terms(tables, solution, model, boundary, mu_max):
     """The order terms with S_j formed on the grid at every order and
     contracted with the boundary monomials after its integral.  It integrates
-    with the library's own spline integrals, so only the contraction differs."""
+    with the library's own interval integrals, so only the contraction differs."""
     grid = solution.grid
     G = anharmonic._g_table(solution, model)
     S = np.ones((1, grid.size))
@@ -653,20 +737,29 @@ class TestOperatorTables:
         assert partials == pytest.approx(list(expected), rel=1e-13, abs=0.0)
 
 
+def _long_double_pieces(grid, y):
+    """The rule's interval integrals in long double: each interval's integer
+    weights on its six-node window, times dx / 1440."""
+    ld = np.longdouble
+    n = grid.size - 1
+    start = np.clip(np.arange(n) - 2, 0, n - 5)
+    w = oscillator_ode._QUINTIC_WEIGHTS.astype(ld)[np.arange(n) - start]
+    y = np.asarray(y, dtype=ld)
+    return sum(w[:, j] * y[..., start + j] for j in range(6)) * (np.diff(grid.astype(ld)) / 1440)
+
+
 def _long_double_order_terms(solution, model, boundary):
     """The W order terms of the same discretization, summed in long double:
-    scipy's spline slopes, each interval's exact spline integral, and S_j
-    accumulated from t = 0, with the operators applied as dense matrices."""
+    the same quintic rule, and S_j accumulated from t = 0, with the operators
+    applied as dense matrices."""
     grid = solution.grid
     ld = np.longdouble
     G = anharmonic._g_table(solution, model).astype(ld)
-    dx = np.diff(grid.astype(ld))
     S = np.ones((1, grid.size), dtype=ld)
     terms = []
     for p, q, op, _ in TABLES[0]:
         y = op.toarray().astype(ld) @ (G[:, None, :] * S).reshape(-1, grid.size)
-        s = CubicSpline(grid, y.astype(float), axis=-1).derivative()(grid).astype(ld)
-        pieces = dx / 2 * (y[:, :-1] + y[:, 1:]) + dx**2 / 12 * (s[:, :-1] - s[:, 1:])
+        pieces = _long_double_pieces(grid, y)
         S = np.concatenate([np.zeros((y.shape[0], 1), dtype=ld), np.cumsum(pieces, axis=-1)], axis=-1)
         terms.append(S[:, -1] @ (boundary.phiB_hat**p * boundary.phi0_hat**q).astype(ld))
     return terms
@@ -703,10 +796,10 @@ PINNED_ROUTES = {
         REFERENCE,
         {
             "nested_integral": [
-                "0x1.7de078a19dbbcp-10",
-                "0x1.2e0d6f23674e9p-22",
-                "0x1.2973346b560a3p-32",
-                "0x1.06a4e8d6290f3p-36",
+                "0x1.7de078a1be1c0p-10",
+                "0x1.2e0d6f240123ep-22",
+                "0x1.2973346b3cbeep-32",
+                "0x1.06a4e8d59a25ep-36",
             ],
             "d_function": [
                 "-0x1.3394ce2cd0874p+1",
@@ -721,17 +814,17 @@ PINNED_ROUTES = {
                 "-0x1.0b11cc78ae968p-1",
                 "-0x1.096bb98c7e27fp-7",
             ],
-            "w_mu_direct": ["0x1.4d86ce180fa2cp-6", "0x1.9e06e86434520p+0"],
+            "w_mu_direct": ["0x1.4d86ce1cef682p-6", "0x1.9e06e85d398cep+0"],
         },
     ),
     "table-c": (
         TABLE_C,
         {
             "nested_integral": [
-                "0x1.dd76c3bcc332ap-10",
-                "0x1.cdef3f9cdef7cp-22",
-                "0x1.202231a13eeacp-31",
-                "0x1.92a298d5d4209p-35",
+                "0x1.dd76c3bcf3accp-10",
+                "0x1.cdef3f9dda6e7p-22",
+                "0x1.202231a12c7cap-31",
+                "0x1.92a298d49e899p-35",
             ],
             "d_function": [
                 "-0x1.3e55e41ac98eap+1",
@@ -746,7 +839,7 @@ PINNED_ROUTES = {
                 "-0x1.0c6c99bdb9bfep-1",
                 "-0x1.096bb98c7e27fp-7",
             ],
-            "w_mu_direct": ["0x1.9d2f17eb785a4p-6", "0x1.3d4984188295ap+1"],
+            "w_mu_direct": ["0x1.9d2f17f38f4cap-6", "0x1.3d4984142cda9p+1"],
         },
     ),
 }

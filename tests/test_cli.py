@@ -296,13 +296,15 @@ class TestCompareCommand:
             ("N_list = 2,3,4,16\nsamples = 5000\nworkers = 1", "oracle.samples"),
             ("N_list = 2,3,4\nsamples = 20000\nworkers = 0", "oracle.workers"),
             ("N_list = 2,3,4,16\nsamples = 20000\nworkers = 0", "oracle.workers"),
+            ("N_list = 2,3,4\nsamples = 20000\nseed = -1", "oracle.seed"),
+            ("N_list = 2,3,4,16\nsamples = 20000\nseed = -1", "oracle.seed"),
             ("N_list = 2,3\nsamples = 20000", "oracle.N_list"),
             ("N_list = 2,2,2\nsamples = 20000", "oracle.N_list"),
             ("N_list = 2,2,3,4\nsamples = 20000", "oracle.N_list"),
             ("N_list = 0,2,3,4\nsamples = 20000", "oracle.N_list"),
             ("N_list = 2,3,4,600\nsamples = 20000", "oracle.N_list"),
         ],
-        ids=["samples", "samples-mc", "workers", "workers-mc", "two-n", "repeated-n",
+        ids=["samples", "samples-mc", "workers", "workers-mc", "seed", "seed-mc", "two-n", "repeated-n",
              "one-repeat", "n-zero", "n-too-large"],
     )
     def test_bad_oracle_config_exits_2_before_any_work(

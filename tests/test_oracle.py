@@ -210,6 +210,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="workers"):
             wn_montecarlo(REFERENCE, BOUNDARY, 16, 20_000, seed=0, workers=workers)
 
+    def test_rejects_negative_seed(self):
+        # SeedSequence refuses it only after the bridge setup; this names it.
+        with pytest.raises(ValueError, match="seed"):
+            wn_montecarlo(REFERENCE, BOUNDARY, 16, 20_000, seed=-1)
+
 
 class TestSeriesExact:
     @pytest.mark.parametrize("N", [2, 3])

@@ -9,6 +9,7 @@ Closed forms used as oracles:
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -58,6 +59,18 @@ def _table(beta, values):
     return table_coefficient(np.linspace(0.0, beta, len(values)), values)
 
 
+def _local_quintic_ppoly(grid, y):
+    """scipy's PPoly whose piece on each interval is the quintic through the
+    six nodes around it (moved inward at the grid's ends), found by a
+    Vandermonde solve in the local coordinate u = (t - t_i) / dx_i."""
+    n = grid.size - 1
+    nodes = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(6)
+    dx = np.diff(grid)[:, None]
+    u = (grid[nodes] - grid[:-1, None]) / dx
+    coeffs = np.linalg.solve(u[..., None] ** np.arange(6), y[nodes][..., None])[..., 0]
+    return PPoly((coeffs / dx ** np.arange(6))[:, ::-1].T, grid)
+
+
 # Non-constant c and b make every RK4 stage time matter, so these pin the
 # stage times (the points of the lattice linspace(0, beta, 4 grid_n + 1))
 # bit for bit.
@@ -69,7 +82,7 @@ PINNED = {
         "fa0dea24b8bc4b8576f7bb39454e9c7a22b04bb3b6f99f5734f732d891131012",
         "0x1.01100d2813a00p-45",
         "0x1.0fdda685b64d9p-46",
-        "-0x1.19045573a14f4p+0",
+        "-0x1.19045573a0a3ap+0",
     ),
     "table-c": (
         CoefficientModel(
@@ -78,7 +91,7 @@ PINNED = {
         "945772d32a8a50ac4857462a1c294c11861cbcbef0cae5814866f0ff50a6c88a",
         "0x1.2a7eda8d4a35fp-34",
         "0x1.556399f602b17p-33",
-        "-0x1.2b6a66ea2d99cp+0",
+        "-0x1.2b6a66ea23a57p+0",
     ),
     "table-b": (
         CoefficientModel(
@@ -87,7 +100,7 @@ PINNED = {
         "76e836baa927a2c399204f569e479acef905f614f7b4e4c75158d90933f77ef7",
         "0x1.0233e24a3bbedp-43",
         "0x1.02316b2d42165p-43",
-        "-0x1.2741ecd8c8a6cp+0",
+        "-0x1.2741ecd8c9d26p+0",
     ),
 }
 
@@ -391,7 +404,7 @@ class TestQSolution:
             assert calls[0] == expected, name
 
     def test_no_spline_per_solve(self, monkeypatch):
-        # The kernel integrand is integrated by the in-house spline integral and
+        # The kernel integrand is integrated by the in-house quintic rule and
         # node 0 is extrapolated by closed-form weights: no scipy spline, PPoly
         # or least-squares fit is built.
         builds = []
@@ -427,7 +440,7 @@ class TestQSolution:
         unstable = solve_Q(CoefficientModel(a=0.0, b=-30.0, c=1.0, beta=2.0))
         assert not unstable.q_positive and math.isnan(unstable.Y_reg)
         assert np.all(np.isnan(unstable.I_of_tau))
-        assert unstable._integrand is None and unstable._integrand_slopes is None
+        assert unstable._integrand is None
 
 
 class TestFQProportionality:
@@ -474,12 +487,13 @@ class TestKernel:
     @pytest.mark.parametrize("grid_n", [64, 512])
     @pytest.mark.parametrize("name", list(PINNED))
     def test_off_grid_matches_scipy_spline(self, name, grid_n):
-        # scipy's spline through the same integrand values is the independent
-        # reference.  Its integrate() sums local antiderivatives per interval;
-        # antiderivative(beta) - antiderivative(tau) would cancel near beta.
+        # scipy's piecewise polynomial of the same local quintics through the
+        # same integrand values is the independent reference.  Its integrate()
+        # sums local antiderivatives per interval; antiderivative(beta) -
+        # antiderivative(tau) would cancel near beta.
         model = PINNED[name][0]
         sol = solve_Q(model, grid_n=grid_n)
-        spline = CubicSpline(sol.grid, sol._integrand)
+        pp = _local_quintic_ppoly(sol.grid, sol._integrand)
         c0, beta = float(sol.c[0]), model.beta
         taus = np.concatenate([
             np.random.default_rng(7).uniform(0.0, 0.999 * beta, 40),
@@ -487,41 +501,45 @@ class TestKernel:
             [0.999 * beta],
         ])
         for tau in taus:
-            expected = spline.integrate(tau, beta) + (beta - tau) / (c0 * tau * beta)
+            expected = pp.integrate(tau, beta) + (beta - tau) / (c0 * tau * beta)
             assert kernel_I(sol, float(tau)) == pytest.approx(expected, rel=1e-14, abs=0.0), tau
 
     @pytest.mark.parametrize("offset", [1e-4, 1e-9, 1e-13])
     def test_near_beta_matches_exact_local_integral(self, offset):
-        # Close to beta, I is the integral of the last interval's cubic (scipy's
-        # coefficients) over [tau, beta], here taken exactly in mpmath.
+        # Close to beta, I is the integral over [tau, beta] of the quintic
+        # through the last six nodes, here taken in 40-digit mpmath.
         model = PINNED["poly-c"][0]
         sol = solve_Q(model, grid_n=128)
-        spline = CubicSpline(sol.grid, sol._integrand)
         beta = model.beta
         tau = beta * (1.0 - offset)
         with mpmath.workdps(40):
-            t0, lo, hi = (mpmath.mpf(float(v)) for v in (sol.grid[-2], tau, beta))
-            coeffs = [mpmath.mpf(float(v)) for v in spline.c[:, -1]]
+            nodes = [mpmath.mpf(float(t)) for t in sol.grid[-6:]]
+            values = [mpmath.mpf(float(v)) for v in sol._integrand[-6:]]
+            lo, hi = mpmath.mpf(tau), mpmath.mpf(beta)
 
-            def antiderivative(x):
-                return sum(ck * (x - t0) ** (4 - k) / (4 - k) for k, ck in enumerate(coeffs))
+            def quintic(x):
+                return sum(
+                    v * mpmath.fprod((x - m) / (t - m) for m in nodes if m != t)
+                    for t, v in zip(nodes, values)
+                )
 
-            expected = antiderivative(hi) - antiderivative(lo) + (hi - lo) / (
+            expected = mpmath.quad(quintic, [lo, hi]) + (hi - lo) / (
                 mpmath.mpf(float(sol.c[0])) * lo * hi
             )
         assert kernel_I(sol, tau) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("name", list(PINNED))
     def test_gridded_kernel_is_a_right_sum(self, name):
-        # I_of_tau is the right sum of the spline's interval integrals plus the
+        # I_of_tau is the right sum of the rule's interval integrals plus the
         # subtracted part, within rounding of the same sum in long double.
         model = PINNED[name][0]
         sol = solve_Q(model, grid_n=512)
         ld = np.longdouble
         grid, g = sol.grid.astype(ld), sol._integrand.astype(ld)
-        s = sol._integrand_slopes.astype(ld)
-        dx = np.diff(grid)
-        pieces = dx / 2 * (g[:-1] + g[1:]) + dx**2 / 12 * (s[:-1] - s[1:])
+        n = grid.size - 1
+        start = np.clip(np.arange(n) - 2, 0, n - 5)
+        w = oscillator_ode._QUINTIC_WEIGHTS.astype(ld)[np.arange(n) - start]
+        pieces = sum(w[:, j] * g[start + j] for j in range(6)) * (np.diff(grid) / 1440)
         F = np.cumsum(pieces[::-1])[::-1]
         beta, c0 = ld(model.beta), ld(float(sol.c[0]))
         expected = F[1:] + (beta - grid[1:-1]) / (c0 * grid[1:-1] * beta)
@@ -537,6 +555,45 @@ class TestKernel:
         unstable = solve_Q(CoefficientModel(a=0.0, b=-30.0, c=1.0, beta=2.0))
         with pytest.raises(ArithmeticError):
             kernel_I(unstable, 0.5)
+
+
+def _exact_quintic_table():
+    """[p][j][k]: 1440 times the coefficient of v^(k+1) in the integral over
+    [p + 1 - v, p + 1] of node j's Lagrange basis on the nodes 0..5, in Fractions."""
+    table = [[None] * 6 for _ in range(5)]
+    for j in range(6):
+        basis = [Fraction(1)]  # ascending coefficients in x
+        for m in range(6):
+            if m != j:
+                basis = [(b - m * a) / (j - m) for a, b in zip(basis + [0], [0] + basis)]
+        for p in range(5):
+            # basis(p + 1 - v) in powers of v, then integrated from v = 0.
+            in_v = [
+                sum(c * math.comb(k, r) * (p + 1) ** (k - r) * (-1) ** r
+                    for k, c in enumerate(basis) if k >= r)
+                for r in range(6)
+            ]
+            table[p][j] = [1440 * c / (r + 1) for r, c in enumerate(in_v)]
+    return table
+
+
+class TestQuinticTable:
+    def test_matches_exact_lagrange_integrals(self):
+        exact = _exact_quintic_table()
+        assert all(c.denominator == 1 for row in exact for col in row for c in col)
+        assert oscillator_ode._QUINTIC_TABLE.tolist() == [
+            [[int(c) for c in col] for col in row] for row in exact
+        ]
+        # The float construction lands within rounding of the integers.
+        raw = oscillator_ode._lagrange_integrals()
+        assert np.max(np.abs(raw - oscillator_ode._QUINTIC_TABLE)) <= 1e-6
+
+    def test_whole_interval_weights(self):
+        w = oscillator_ode._QUINTIC_WEIGHTS
+        assert w[2].tolist() == [11, -93, 802, 802, -93, 11]
+        assert np.all(w.sum(axis=-1) == 1440)
+        # The end rows mirror each other.
+        assert np.array_equal(w[::-1, ::-1], w)
 
 
 class TestExtrapolateNode0:
@@ -670,7 +727,7 @@ class TestRegularizedY:
                 c=0.8854323781022119,
                 beta=beta,
             )
-            expected = -1.692888269910918
+            expected = -1.6928882699057235
         else:
             beta = 1.405973793337567
             a = [0.14145623083983516, 0.1495273484943405, 0.14772698799456077,
@@ -685,7 +742,7 @@ class TestRegularizedY:
             model = CoefficientModel(
                 a=_table(beta, a), b=_table(beta, b), c=_table(beta, c), beta=beta
             )
-            expected = -2.3691608374728133
+            expected = -2.369160837455926
         assert regularized_Y(solve_Q(model)) == pytest.approx(expected, rel=1e-12)
 
 
