@@ -7,8 +7,9 @@ Two independent representations of the order-mu term are implemented:
   polynomials (exact polynomial algebra, derivatives by index lowering),
   summed over all kappa by an O(mu) polynomial-valued recursion;
 * w_mu_direct — the literal xi-derivative route: the degree-4mu Hermite
-  polynomial of the generating argument, expanded by order-4 jet (truncated
-  Taylor) arithmetic seeded at xi = 1, then simplex quadrature.
+  polynomial of the generating argument, its fourth xi-derivative at xi = 1
+  taken by Taylor's formula in the polynomial's two arguments, then simplex
+  quadrature.
 
 Their agreement is the numeric verification of the identity chain that turns
 the generating-function factorization into the recurrence form.
@@ -342,36 +343,26 @@ def w_mu(
     return term / series_coefficient(mu)
 
 
-# --- jets for the direct xi-derivative route --------------------------------
+def _xi_kernel(H: Sequence[np.ndarray], x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """24 [delta^4] H_8(x0 + x1 delta, y0 + y1 (2 delta + delta^2)), the fourth
+    xi-derivative at xi = 1 + delta, from H = [H_0, ..., H_4] at (x0, y0).
 
-
-class _Jet:
-    """Truncated Taylor polynomial of order 4 in delta = xi - 1.
-
-    Coefficients may be scalars or numpy arrays (broadcast over the grid).
-    Only the operations needed by the Hermite-polynomial expansion exist.
+    Taylor's formula in both arguments, with d_x H_n = n H_{n-1} and
+    d_y H_n = n (n-1) H_{n-2}, is the sum over k, l of
+    8!/(k! l! (8-k-2l)!) H_{8-k-2l} x1^k y1^l delta^(k+l) (2 + delta)^l.
+    The term C(l, j) 2^(l-j) delta^j of (2 + delta)^l reaches delta^4 for
+    j = 4 - k - l, 0 <= j <= l: nine terms, on H_0 ... H_4 only.  Row i is
+    (x0, y0)[i], column j is (x1, y1)[j].
     """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = list(coeffs) + [0.0] * (5 - len(coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet([a + b for a, b in zip(self.c, other.c)])
-        out = list(self.c)
-        out[0] = out[0] + other
-        return _Jet(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _Jet):
-            return _Jet([a * other for a in self.c])
-        return _Jet([sum(self.c[i] * other.c[k - i] for i in range(k + 1)) for k in range(5)])
-
-    __rmul__ = __mul__
+    P = np.zeros((5, np.size(x1)))  # P[m]: the factor of H_m
+    for l in range(5):
+        for k in range(max(0, 4 - 2 * l), 5 - l):
+            j, m = 4 - k - l, 8 - k - 2 * l
+            weight = math.comb(l, j) * 2 ** (l - j) * math.factorial(8) // (
+                math.factorial(k) * math.factorial(l) * math.factorial(m)
+            )
+            P[m] += weight * x1**k * y1**l
+    return 24.0 * np.einsum("mi,mj->ij", np.broadcast_arrays(*H), P)  # H_0 = 1 is a scalar
 
 
 def w_mu_direct(
@@ -384,9 +375,10 @@ def w_mu_direct(
 
     mu=1: int_0^beta a Q^4 H_4(2u, I) dtau with u = phi0_hat I + phiB_hat
     (two-variable Hermite; equals 16 H_4(u', I/4) by homogeneity).
-    mu=2: the xi_1 fourth derivative at xi_1 = 1, via jet arithmetic, of
-    H_8(2u(xi), w(xi)) with u = phi0_hat(I1 + (xi-1) I2) + xi phiB_hat and
-    w = I1 + (xi^2 - 1) I2, then the ordered 2-D simplex quadrature.
+    mu=2: the xi_1 fourth derivative at xi_1 = 1 of H_8(2u(xi), w(xi)) with
+    u = phi0_hat(I1 + (xi-1) I2) + xi phiB_hat and w = I1 + (xi^2 - 1) I2,
+    by Taylor's formula in H's two arguments about (2u(1), I1), then the
+    ordered 2-D simplex quadrature.
     """
     if mu not in (1, 2):
         raise ValueError(f"w_mu_direct supports mu in {{1, 2}}, got {mu}")
@@ -394,25 +386,21 @@ def w_mu_direct(
     grid = solution.grid
     a = np.asarray(model.a(grid), dtype=float)
     w4 = a * solution.Q**4
-    I = solution.I_of_tau
-    pB, p0 = boundary.phiB_hat, boundary.phi0_hat
+    I = solution.I_of_tau[1:]
+    x = 2.0 * (boundary.phi0_hat * I + boundary.phiB_hat)  # 2u at xi = 1
+    H = [hermite2(n, x, I) for n in range(5)]
 
     if mu == 1:
         y = np.empty_like(grid)
-        u = p0 * I[1:] + pB
-        y[1:] = w4[1:] * hermite2(4, 2.0 * u, I[1:])
+        y[1:] = w4[1:] * H[4]
         y[0] = extrapolate_node0(grid, y)
         return float(_cumulative_from_right(grid, y)[0])
 
     # mu = 2: row i - 1 holds the inner integrand of the outer node tau_i
-    # (I1 = I(tau_i)), with the inner variable (I2) along the grid axis.
-    I1 = I[1:, None]
-    I2 = I[None, 1:]
-    u = _Jet([p0 * I1 + pB, p0 * I2 + pB])
-    w = _Jet([I1, 2.0 * I2, I2])
-    K = hermite2(8, 2.0 * u, w).c[4] * 24.0  # d^4/dxi^4 at xi=1
+    # (I1 = I(tau_i)), with the inner variable (I2) along the grid axis; the
+    # xi-increment of 2u is 2u(tau) delta with u read at the inner node.
     inner = np.empty((grid.size - 1, grid.size))
-    inner[:, 1:] = w4[1:] * K
+    inner[:, 1:] = w4[1:] * _xi_kernel(H, x, I)
     inner[:, 0] = extrapolate_node0(grid, inner.T)
     # The inner integral of row i - 1 runs from tau_i to beta.
     outer = np.empty_like(grid)

@@ -267,7 +267,7 @@ def hermite2(n: int, x, y):
 
     Generating function: sum_n z^n/n! H_n(x,y) = exp(x z + y z^2).  Computed by
     the recurrence H_{k+1} = x H_k + 2k y H_{k-1} from H_0 = 1, H_1 = x, so it
-    accepts any arguments supporting + and * (floats, arrays, jets, Fractions);
+    accepts any arguments supporting + and * (floats, arrays, mpf, Fractions);
     its constants are integers, which keeps Fraction arguments exact.
     """
     if not 0 <= n <= 64:

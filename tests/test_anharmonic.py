@@ -23,6 +23,7 @@ from anharmprop import (
     KappaVector,
     const_coefficient,
     h_kappa,
+    hermite2,
     d_function,
     incomplete_hermite,
     kernel_I,
@@ -330,28 +331,28 @@ class TestBoundaryPolynomials:
         )
 
 
-def _plain_jet_product(x, y):
-    """The jet product as a plain sum: out[i + j] = out[i + j] + x_i y_j, i ascending."""
-    out = [0.0] * 5
-    for i, a in enumerate(x):
-        for j in range(5 - i):
-            out[i + j] = out[i + j] + a * y[j]
-    return out
+class TestXiKernel:
+    def test_matches_mpmath_fourth_derivative(self):
+        # w_mu_direct's mu = 2 kernel is 24 [delta^4] of H_8(2u(xi), w(xi)) at
+        # xi = 1 + delta, u = u0 + u1 (xi - 1), w = I1 + (xi^2 - 1) I2; here it
+        # is differentiated by mpmath at 40 digits, one (u0, I1) per row and
+        # one (u1, I2) per column.  u, I > 0 make every term of the sum
+        # positive, so the rounding error is relative to the value for any
+        # draw; TestWmuRoutes covers endpoints of either sign.
+        rng = np.random.default_rng(5)
+        u0, u1 = rng.uniform(0.0, 1.0, (2, 6))
+        I1, I2 = rng.uniform(0.05, 1.5, (2, 6))
+        H = [hermite2(n, 2.0 * u0, I1) for n in range(5)]
+        got = anharmonic._xi_kernel(H, 2.0 * u1, I2)
+        with mpmath.workdps(40):
+            for i, j in product(range(6), repeat=2):
+                x0, y0, x1, y1 = map(mpmath.mpf, (u0[i], I1[i], u1[j], I2[j]))
 
+                def h8(xi):
+                    return hermite2(8, 2 * (x0 + x1 * (xi - 1)), y0 + (xi**2 - 1) * y1)
 
-class TestJetProduct:
-    def test_bits_equal_plain_sum(self):
-        # The product rounds exactly as the plain sum does; the operands mix
-        # column, row and scalar coefficients as w_mu_direct's do.
-        rng = np.random.default_rng(3)
-        col, row = rng.standard_normal((6, 1)), rng.standard_normal((1, 6))
-        u = anharmonic._Jet([0.3 * col + 0.1, 0.3 * row - 0.2])
-        w = anharmonic._Jet([col, 2.0 * row, row])
-        pairs = ((u, w), (w, w), (u * w, u), (w * w * w, u * u), (w * w, 2.0 * w * w))
-        for x, y in pairs:
-            got = (x * y).c
-            for k, (g, e) in enumerate(zip(got, _plain_jet_product(x.c, y.c))):
-                assert np.array_equal(np.broadcast_to(g, np.shape(e)), e), k
+                expected = float(24 * mpmath.taylor(h8, 1, 4)[4])
+                assert got[i, j] == pytest.approx(expected, rel=1e-14, abs=0.0), (i, j)
 
 
 class TestWmuRoutes:
@@ -814,7 +815,7 @@ PINNED_ROUTES = {
                 "-0x1.0b11cc78ae968p-1",
                 "-0x1.096bb98c7e27fp-7",
             ],
-            "w_mu_direct": ["0x1.4d86ce1cef682p-6", "0x1.9e06e85d398cep+0"],
+            "w_mu_direct": ["0x1.4d86ce1cef682p-6", "0x1.9e06e85d398cfp+0"],
         },
     ),
     "table-c": (
