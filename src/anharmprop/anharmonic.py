@@ -351,8 +351,8 @@ def _xi_kernel(H: Sequence[np.ndarray], x1: np.ndarray, y1: np.ndarray) -> np.nd
     d_y H_n = n (n-1) H_{n-2}, is the sum over k, l of
     8!/(k! l! (8-k-2l)!) H_{8-k-2l} x1^k y1^l delta^(k+l) (2 + delta)^l.
     The term C(l, j) 2^(l-j) delta^j of (2 + delta)^l reaches delta^4 for
-    j = 4 - k - l, 0 <= j <= l: nine terms, on H_0 ... H_4 only.  Row i is
-    (x0, y0)[i], column j is (x1, y1)[j].
+    j = 4 - k - l, 0 <= j <= l: nine terms, on H_0 ... H_4 only.  Rows follow
+    (x0, y0), columns (x1, y1).
     """
     P = np.zeros((5, np.size(x1)))  # P[m]: the factor of H_m
     for l in range(5):

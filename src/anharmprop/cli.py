@@ -15,8 +15,9 @@ Config grammar: flat ``key = value`` lines, ``#`` comments (at the start of
 a line or after whitespace, so ``#`` inside a value such as a path is kept),
 optional ``[section]`` headers that prefix following keys with ``section.``.
 A key that neither ``propagator`` nor ``compare`` reads is an error.
-Coefficients accept ``const:<v>``, ``poly:<c0,c1,...>`` or ``table:<path>``
-(CSV of ``tau,value`` rows).  All emitted CSV uses ``.`` decimals, 17
+``beta`` must be positive.  Coefficients accept ``const:<v>``,
+``poly:<c0,c1,...>`` or ``table:<path>`` (CSV of ``tau,value`` rows whose
+``tau`` column covers [0, beta]).  All emitted CSV uses ``.`` decimals, 17
 significant digits and LF line endings, and is a deterministic function of
 (config, seed).
 
@@ -105,7 +106,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_coefficient(spec: str, base: Path):
+def _parse_coefficient(spec: str, base: Path, beta: float):
     kind, _, payload = spec.partition(":")
     try:
         if kind == "const":
@@ -114,7 +115,15 @@ def _parse_coefficient(spec: str, base: Path):
             return poly_coefficient([_finite(t) for t in payload.split(",")])
         if kind == "table":
             rows = np.loadtxt(base / payload, delimiter=",", ndmin=2)
-            return table_coefficient(rows[:, 0], rows[:, 1])
+            coefficient = table_coefficient(rows[:, 0], rows[:, 1])
+            # The cubic would extrapolate past the samples without a word.
+            lo, hi = float(rows[0, 0]), float(rows[-1, 0])
+            if not (lo <= 0.0 and hi >= beta):
+                raise ConfigError(
+                    f"bad coefficient spec {spec!r}: its tau column spans [{lo!r}, {hi!r}],"
+                    f" which does not cover [0, beta] = [0, {beta!r}]"
+                )
+            return coefficient
     except ConfigError:
         raise
     except Exception as exc:
@@ -139,10 +148,12 @@ def _get(cfg: dict[str, str], key: str, kind=_finite, default=None):
 
 def build_model(cfg: dict[str, str], base: Path) -> CoefficientModel:
     beta = _get(cfg, "beta")
+    if beta <= 0.0:
+        raise ConfigError(f"bad value for beta: {beta!r} is not positive")
     return CoefficientModel(
-        a=_parse_coefficient(_get(cfg, "coeff.a", str), base),
-        b=_parse_coefficient(_get(cfg, "coeff.b", str), base),
-        c=_parse_coefficient(_get(cfg, "coeff.c", str), base),
+        a=_parse_coefficient(_get(cfg, "coeff.a", str), base, beta),
+        b=_parse_coefficient(_get(cfg, "coeff.b", str), base, beta),
+        c=_parse_coefficient(_get(cfg, "coeff.c", str), base, beta),
         beta=beta,
     )
 

@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 from scipy.special import poch
 
-from .oscillator_ode import BoundaryData, CoefficientModel
+from .oscillator_ode import BoundaryData, CoefficientModel, _require_finite_endpoints
 from .special_fn import pcf_scaled
 
 __all__ = [
@@ -89,6 +89,7 @@ def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> S
     """Sample the continuum model on the N-slice grid and build the symbols."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _require_finite_endpoints(phi0=phi0, phiN=phiN)
     delta = model.beta / N
     tau = delta * np.arange(N + 1)
     a = np.asarray(model.a(tau), dtype=float)

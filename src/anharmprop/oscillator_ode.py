@@ -164,7 +164,16 @@ class BoundaryData:
     gamma: float = 0.25
 
 
+def _require_finite_endpoints(**endpoints: float) -> None:
+    """Refuse a nan or infinite endpoint, by name: the series and the oracles
+    would carry it into a nan total or a failure far from its cause."""
+    for name, value in endpoints.items():
+        if not math.isfinite(value):
+            raise ValueError(f"endpoint {name} must be finite, got {value}")
+
+
 def make_boundary(solution: OscillatorSolution, phi0: float, phiB: float) -> BoundaryData:
+    _require_finite_endpoints(phi0=phi0, phiB=phiB)
     c0 = float(solution.c[0])
     q_beta = float(solution.Q[-1])
     return BoundaryData(

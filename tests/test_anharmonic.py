@@ -490,6 +490,15 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator(REFERENCE, 0.0, 0.0, mu_max=5)
 
+    @pytest.mark.parametrize("mu_max", [0, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["phi0", "phiB"])
+    def test_non_finite_endpoint_is_named(self, name, bad, mu_max):
+        # mu_max = 0 would otherwise return total = nan without an error.
+        endpoints = {"phi0": 0.3, "phiB": -0.2, name: bad}
+        with pytest.raises(ValueError, match=f"endpoint {name} must be finite"):
+            propagator(REFERENCE, endpoints["phi0"], endpoints["phiB"], mu_max=mu_max)
+
 
 class TestP1Series:
     def test_partials_end_at_total(self):

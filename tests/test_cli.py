@@ -158,10 +158,15 @@ class TestPropagatorCommand:
             ("phiN = -0.2", "phiN = -inf", "phiN"),
             ("beta = 1.0", "beta = inf", "beta"),
             ("beta = 1.0", "beta = 1e400", "beta"),
+            ("beta = 1.0", "beta = 0", "bad value for beta"),
+            ("beta = 1.0", "beta = -1", "bad value for beta"),
             ("a = const:0.05", "a = const:nan", "const:nan"),
             ("c = const:1.0", "c = poly:1.0,inf", "poly:1.0,inf"),
         ],
-        ids=["phi0-nan", "phiN-inf", "beta-inf", "beta-overflow", "const-nan", "poly-inf"],
+        ids=[
+            "phi0-nan", "phiN-inf", "beta-inf", "beta-overflow", "beta-zero", "beta-negative",
+            "const-nan", "poly-inf",
+        ],
     )
     def test_non_finite_value_exits_2(self, tmp_path, capsys, line, bad_line, key):
         cfg = write_cfg(tmp_path / "bad.cfg", SMALL_CFG.replace(line, bad_line))
@@ -232,6 +237,30 @@ class TestPropagatorCommand:
         )
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "taus, span",
+        [
+            (np.linspace(0.2, 1.0, 21), "[0.2, 1.0]"),
+            (np.linspace(0.0, 0.75, 21), "[0.0, 0.75]"),
+        ],
+        ids=["starts-late", "ends-early"],
+    )
+    def test_table_not_covering_beta_exits_2(self, tmp_path, capsys, taus, span):
+        # The cubic would extrapolate past the samples; beta = 1.0.
+        np.savetxt(
+            tmp_path / "ctab.csv",
+            np.column_stack([taus, np.full_like(taus, 1.0)]),
+            delimiter=",",
+        )
+        cfg = write_cfg(
+            tmp_path / "t.cfg", SMALL_CFG.replace("c = const:1.0", "c = table:ctab.csv")
+        )
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"spans {span}" in err and "does not cover [0, beta]" in err
+        assert not (tmp_path / "breakdown.csv").exists()
 
     def test_table_path_containing_hash(self, tmp_path):
         taus = np.linspace(0.0, 1.0, 21)

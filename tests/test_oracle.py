@@ -109,6 +109,23 @@ class TestSlicedModel:
             sliced_model(REFERENCE, 0, *BOUNDARY)
 
 
+@pytest.mark.parametrize(
+    "oracle_call",
+    [
+        lambda bd: wn_quadrature(REFERENCE, bd, 3),
+        lambda bd: wn_montecarlo(REFERENCE, bd, 8, 10_000, 0),
+    ],
+    ids=["quadrature", "montecarlo"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["phi0", "phiN"])
+def test_non_finite_endpoint_is_named(oracle_call, bad, name):
+    # Unchecked, the oracles warn and then report a failed convergence.
+    endpoints = {"phi0": 0.3, "phiN": -0.2, name: bad}
+    with pytest.raises(ValueError, match=f"endpoint {name} must be finite"):
+        oracle_call((endpoints["phi0"], endpoints["phiN"]))
+
+
 class TestQuadrature:
     def test_harmonic_sequence_approaches_mehler(self):
         # For a = 0 the sliced propagator converges to the Mehler kernel;
