@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import poch
 
 from .oscillator_ode import BoundaryData, CoefficientModel, _require_finite_endpoints
@@ -40,6 +40,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MC_CHUNK = 1 << 16  # fixed chunk size so results do not depend on `workers`
+_MC_BLOCK = 4096  # bridge rows solved at a time: a slice of them stays in L2
 
 
 def _endpoints(boundary) -> tuple[float, float]:
@@ -266,20 +267,30 @@ def _mc_chunk(sm: SlicedModel, chol: np.ndarray, mean: np.ndarray, seq, count: i
     """Sum and sum-of-squares of the quartic reweighting over one chunk."""
     rng = np.random.Generator(np.random.Philox(seq))
     n = mean.size
-    xi = rng.standard_normal((count, n))
-    # P = L^T L in upper-banded form => sample = mean + solve(L, xi) with the
-    # upper-triangular banded factor.  xi.T is Fortran-ordered, so the solve
-    # overwrites it in place and phi is the C-ordered (count, n) buffer that
-    # every later step reuses; C order keeps the row sums' pairwise order.
-    # (phi^2)^2 rather than phi**4: numpy evaluates the power with libm pow,
-    # which is slow for negative bases.
-    phi = solve_banded((0, 1), chol, xi.T, overwrite_b=True, check_finite=False).T
-    phi += mean
-    np.square(phi, out=phi)
-    np.square(phi, out=phi)
-    phi *= sm.a[1 : sm.N]
-    logw = -sm.delta * phi.sum(axis=1)
-    w = np.exp(logw)
+    u, diag = chol
+    a = sm.a[1 : sm.N]
+    logw = np.zeros(count)
+    tmp = np.empty(min(_MC_BLOCK, count))
+    # Block after block, (rows, n) draws take the same normals as one
+    # (count, n) draw.  P = U^T U with U upper bidiagonal (diag, u), so a path
+    # is mean + x with U x = xi, solved from the last slice up; a_j (phi_j^2)^2
+    # joins the log-weight as soon as slice j is solved.  (phi^2)^2 rather
+    # than phi**4: numpy evaluates the power with libm pow, which is slow for
+    # negative bases.
+    for start in range(0, count, _MC_BLOCK):
+        rows = min(_MC_BLOCK, count - start)
+        x = np.ascontiguousarray(rng.standard_normal((rows, n)).T)
+        acc, t = logw[start : start + rows], tmp[:rows]
+        for j in range(n - 1, -1, -1):
+            if j < n - 1:
+                x[j] -= np.multiply(x[j + 1], u[j + 1], out=t)
+            x[j] /= diag[j]
+            np.square(np.add(x[j], mean[j], out=t), out=t)
+            np.square(t, out=t)
+            t *= a[j]
+            acc += t
+    logw *= -sm.delta
+    w = np.exp(logw, out=logw)
     return float(np.sum(w)), float(np.sum(w * w))
 
 

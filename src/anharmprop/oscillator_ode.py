@@ -106,7 +106,10 @@ def _as_coefficient(spec) -> Coefficient:
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Coefficients a (quartic, >= 0), b (harmonic), c (kinetic, > 0) on [0, beta]."""
+    """Coefficients a (quartic, >= 0), b (harmonic), c (kinetic, > 0) on [0, beta].
+
+    The samples of a `table_coefficient` must cover [0, beta].
+    """
 
     a: Coefficient
     b: Coefficient
@@ -119,6 +122,16 @@ class CoefficientModel:
         object.__setattr__(self, "c", _as_coefficient(self.c))
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        for name in ("a", "b", "c"):
+            # A table's cubic would extrapolate past its samples without a word.
+            coefficient = getattr(self, name)
+            if coefficient.kind == "table" and hasattr(coefficient.value, "x"):
+                lo, hi = float(coefficient.value.x[0]), float(coefficient.value.x[-1])
+                if not (lo <= 0.0 and hi >= self.beta):
+                    raise ValueError(
+                        f"table coefficient {name} spans [{lo!r}, {hi!r}], which does"
+                        f" not cover [0, beta] = [0, {self.beta!r}]"
+                    )
         probe = np.linspace(0.0, self.beta, 257)
         if np.any(self.c(probe) <= 0.0):
             raise ValueError("kinetic coefficient c(tau) must be positive on [0, beta]")

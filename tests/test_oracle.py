@@ -4,6 +4,7 @@ parabolic-cylinder multi-sum, and the continuum extrapolation.
 """
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ TABLE = CoefficientModel(
 
 
 def _pow4_montecarlo(model, boundary, N, samples, seed):
-    """wn_montecarlo with the plain phi**4 chunk formula: the same Philox
-    streams, chunking, banded solve and reduction order, but fresh temporaries
-    and libm pow for the quartic term."""
+    """An independent reference for wn_montecarlo's chunk kernel: the same
+    Philox streams, chunking and chunk reduction, but one (count, n) draw per
+    chunk, LAPACK's banded solve, libm pow for phi**4 and numpy's pairwise
+    row sum."""
     sm = sliced_model(model, N, *boundary)
     chol, mean, log_z = oracle._bridge_setup(sm)
     n_chunks = (samples + oracle._MC_CHUNK - 1) // oracle._MC_CHUNK
@@ -182,6 +184,25 @@ class TestMonteCarlo:
         r1 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 150_000, seed=9, workers=1)
         assert r1[0].hex() == r4[0].hex() and r1[1].hex() == r4[1].hex()
 
+    @pytest.mark.parametrize("block", [7, 1000, 65_536])
+    def test_block_size_does_not_move_the_result(self, monkeypatch, block):
+        # 70 000 samples end both a chunk and a block part-way.
+        ref = wn_montecarlo(REFERENCE, BOUNDARY, 16, 70_000, seed=4)
+        monkeypatch.setattr(oracle, "_MC_BLOCK", block)
+        got = wn_montecarlo(REFERENCE, BOUNDARY, 16, 70_000, seed=4)
+        assert got[0].hex() == ref[0].hex() and got[1].hex() == ref[1].hex()
+
+    def test_chunk_memory_stays_small(self):
+        # One (count, n) draw per chunk would hold about 35 MB at N = 64;
+        # blocks of _MC_BLOCK rows hold a few MB.
+        tracemalloc.start()
+        try:
+            wn_montecarlo(REFERENCE, BOUNDARY, 64, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_bridge_arrays_are_read_only(self):
         chol, mean, _ = oracle._bridge_setup(sliced_model(REFERENCE, 16, *BOUNDARY))
         for arr in (chol, mean):
@@ -193,8 +214,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("boundary", [BOUNDARY, (-0.9, 0.8)], ids=["+-", "-+"])
     @pytest.mark.parametrize("model", [REFERENCE, TABLE], ids=["reference", "table"])
     def test_kernel_matches_pow4_formula(self, model, boundary, N, seed):
-        # (phi^2)^2 differs from pow(phi, 4) by at most an ulp or two per
-        # element, so the estimate may move only at the rounding level.
+        # The back-substitution differs from LAPACK's solve, (phi^2)^2 from
+        # pow(phi, 4) and the running sum over slices from the pairwise row
+        # sum by an ulp or two per element, so the estimate may move only at
+        # the rounding level.
         mean, stderr = wn_montecarlo(model, boundary, N, 20_000, seed=seed)
         ref_mean, ref_stderr = _pow4_montecarlo(model, boundary, N, 20_000, seed)
         assert abs(mean - ref_mean) <= 1e-15 * abs(ref_mean)

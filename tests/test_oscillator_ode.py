@@ -248,6 +248,29 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="beta"):
             CoefficientModel(a=0.0, b=0.0, c=1.0, beta=beta)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize(
+        "taus, span",
+        [
+            (np.linspace(0.2, 1.0, 21), "[0.2, 1.0]"),
+            (np.linspace(0.0, 0.75, 16), "[0.0, 0.75]"),
+        ],
+        ids=["starts-late", "ends-early"],
+    )
+    def test_model_rejects_table_not_covering_beta(self, name, taus, span):
+        # Unchecked, propagator returned 0.3194666705521438 for the
+        # starts-late table as c, from the cubic's extrapolation to [0, 0.2).
+        coefficients = {"a": 0.05, "b": 0.5, "c": 1.0}
+        coefficients[name] = table_coefficient(taus, np.ones_like(taus))
+        with pytest.raises(ValueError, match=rf"table coefficient {name} spans \{span}"):
+            CoefficientModel(**coefficients, beta=1.0)
+
+    def test_model_accepts_table_beyond_beta(self):
+        taus = np.linspace(-0.1, 1.3, 15)
+        c = table_coefficient(taus, np.ones_like(taus))
+        model = CoefficientModel(a=0.05, b=0.5, c=c, beta=1.0)
+        assert model.c(np.array([0.0, 1.0])) == pytest.approx([1.0, 1.0], rel=1e-14, abs=0.0)
+
 
 class TestQSolution:
     def test_constant_coefficients_closed_form(self):
