@@ -48,7 +48,9 @@ class Coefficient:
     kind is one of 'const', 'poly', 'table'; value/d1/d2 are vectorized
     callables of tau.  For 'const'/'poly' the derivatives are analytic; for
     'table' they come from the cubic-spline interpolant (one order below the
-    analytic specs in accuracy).
+    analytic specs in accuracy).  describe names the data: the constant, the
+    polynomial's coefficients, or a table's first and last sample time as
+    'table:lo,hi', which CoefficientModel checks against [0, beta].
     """
 
     kind: str
@@ -92,7 +94,11 @@ def table_coefficient(taus: Sequence[float], values: Sequence[float]) -> Coeffic
         raise ValueError("table coefficient needs >= 4 strictly increasing samples")
     spl = CubicSpline(taus, values)
     return Coefficient(
-        "table", spl, spl.derivative(1), spl.derivative(2), describe="table"
+        "table",
+        spl,
+        spl.derivative(1),
+        spl.derivative(2),
+        describe=f"table:{float(taus[0])!r},{float(taus[-1])!r}",
     )
 
 
@@ -125,8 +131,8 @@ class CoefficientModel:
         for name in ("a", "b", "c"):
             # A table's cubic would extrapolate past its samples without a word.
             coefficient = getattr(self, name)
-            if coefficient.kind == "table" and hasattr(coefficient.value, "x"):
-                lo, hi = float(coefficient.value.x[0]), float(coefficient.value.x[-1])
+            if coefficient.kind == "table" and coefficient.describe.startswith("table:"):
+                lo, hi = map(float, coefficient.describe[len("table:") :].split(","))
                 if not (lo <= 0.0 and hi >= self.beta):
                     raise ValueError(
                         f"table coefficient {name} spans [{lo!r}, {hi!r}], which does"

@@ -265,6 +265,19 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=rf"table coefficient {name} spans \{span}"):
             CoefficientModel(**coefficients, beta=1.0)
 
+    def test_model_checks_a_table_with_wrapped_callables(self):
+        # A table rebuilt around wrapped callables, as a profiler does, keeps
+        # its describe and so keeps its span check.
+        taus = np.linspace(0.2, 1.0, 21)
+        table = table_coefficient(taus, np.ones_like(taus))
+        wrapped = Coefficient(
+            table.kind,
+            *(lambda t, _f=getattr(table, part): _f(t) for part in ("value", "d1", "d2")),
+            describe=table.describe,
+        )
+        with pytest.raises(ValueError, match=r"table coefficient c spans \[0.2, 1.0\]"):
+            CoefficientModel(a=0.05, b=0.5, c=wrapped, beta=1.0)
+
     def test_model_accepts_table_beyond_beta(self):
         taus = np.linspace(-0.1, 1.3, 15)
         c = table_coefficient(taus, np.ones_like(taus))
