@@ -11,7 +11,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.interpolate import CubicSpline, PPoly
@@ -175,15 +175,9 @@ class TestCumulativeFromRight:
         n=st.integers(6, 300),
         start=st.floats(-10.0, 10.0),
         length=st.floats(0.01, 20.0),
-        # Subnormal coefficients are left out: below 2.2e-308 a float's
-        # rounding error is a fixed 4.9e-324, not relative to its size, so the
-        # relative bound below is finer than one ulp of the interval integrals.
-        coeffs=st.lists(
-            st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-100),
-            min_size=1,
-            max_size=6,
-        ),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
     )
+    @example(n=6, start=0.0, length=1.0, coeffs=[5e-324])
     @settings(max_examples=60, deadline=None)
     def test_exact_on_quintics(self, n, start, length, coeffs):
         # The rule integrates every polynomial of degree <= 5 exactly; the
@@ -192,7 +186,12 @@ class TestCumulativeFromRight:
         y = np.polynomial.polynomial.polyval(grid, coeffs)
         got = oscillator_ode._cumulative_from_right(grid, y)
         expected = [_exact_integral(coeffs, t, grid[-1]) for t in grid]
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(y)) * length
+        # Below 2.2e-308 a float rounds to a fixed step of 2**-1074, not to
+        # its size, so the relative bound gets an absolute floor of 1440
+        # such steps per node, well above the few steps by which each value,
+        # interval integral and running sum can round there.
+        bound = 1e-12 * np.max(np.abs(y)) * length + n * 1440 * 2.0**-1074
+        assert np.max(np.abs(got - expected)) <= bound
 
     def test_sixth_order_convergence(self):
         # y = exp(-t) cos(3t) on [0, 1.3], against its antiderivative
