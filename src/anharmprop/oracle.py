@@ -87,7 +87,10 @@ class SlicedModel:
 
 
 def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> SlicedModel:
-    """Sample the continuum model on the N-slice grid and build the symbols."""
+    """Sample the continuum model on the N-slice grid and build the symbols.
+
+    Raises ValueError, naming i and tau_i, where a_i < 0 for some i = 1..N.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _require_finite_endpoints(phi0=phi0, phiN=phiN)
@@ -96,6 +99,15 @@ def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> S
     a = np.asarray(model.a(tau), dtype=float)
     b = np.asarray(model.b(tau), dtype=float)
     c = np.asarray(model.c(tau), dtype=float)
+    # CoefficientModel probes a on a fixed lattice only; the weight
+    # exp(-delta a_i phi_i^4) of every oracle needs a_i >= 0 on this one.
+    negative = np.flatnonzero(a[1:] < 0.0)
+    if negative.size:
+        i = int(negative[0]) + 1
+        raise ValueError(
+            f"the sliced quartic weight needs a_i >= 0, got a_{i} = {float(a[i])!r} "
+            f"at tau_{i} = {float(tau[i])!r}"
+        )
 
     sigma = np.zeros(N + 1)
     z = np.zeros(N + 1)
@@ -167,6 +179,40 @@ def _slice_factor(sm: SlicedModel, i: int, x, y):
     )
 
 
+def _slice_kernel(sm: SlicedModel, i: int, sq_diff, y, out):
+    """_slice_factor(sm, i, x[:, None], y[None, :]) into `out`, given
+    sq_diff = (y - x)^2, which every slice shares.  The y terms are one value
+    per node, broadcast down the rows: the same operations on the same values,
+    so the same bits."""
+    d = sm.delta
+    node_term = d * (sm.b[i] * y**2 + sm.a[i] * y**4)
+    np.multiply(sm.c[i], sq_diff, out=out)
+    out /= 2.0 * d
+    out += node_term
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
+def _read_only_leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    xg, wg = leggauss(n_nodes)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
+_NODE_COUNTS = (120, 240, 480, 960)
+# Gauss-Legendre nodes and weights on [-1, 1] for the first two node counts,
+# where the schedule normally stops; built once and shared by every call.
+_LEGGAUSS_TABLES = tuple(_read_only_leggauss(n) for n in _NODE_COUNTS[:2])
+
+
+def _nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    for xg, wg in _LEGGAUSS_TABLES:
+        if xg.size == n_nodes:
+            return xg, wg
+    return leggauss(n_nodes)
+
+
 def _wn_transfer(sm: SlicedModel, n_nodes: int, radius: float) -> float:
     """W_N on Gauss-Legendre nodes over [-radius, radius]."""
     N, d = sm.N, sm.delta
@@ -174,13 +220,16 @@ def _wn_transfer(sm: SlicedModel, n_nodes: int, radius: float) -> float:
         return (2.0 * math.pi * d / sm.c[0]) ** -0.5 * float(
             _slice_factor(sm, 1, sm.phi0, sm.phiN)
         )
-    xg, wg = leggauss(n_nodes)
+    xg, wg = _nodes(n_nodes)
     xg = xg * radius
     wg = wg * radius
     F = _slice_factor(sm, 1, sm.phi0, xg)
+    # One kernel buffer for every slice: a call holds two node x node arrays.
+    sq_diff = (xg[None, :] - xg[:, None]) ** 2
+    kernel = np.empty_like(sq_diff)
     for i in range(2, N):
         meas = (2.0 * math.pi * d / sm.c[i - 1]) ** -0.5
-        F = meas * (_slice_factor(sm, i, xg[:, None], xg[None, :]).T @ (wg * F))
+        F = meas * (_slice_kernel(sm, i, sq_diff, xg, kernel).T @ (wg * F))
     meas = (2.0 * math.pi * d / sm.c[N - 1]) ** -0.5
     last = float(np.sum(wg * F * _slice_factor(sm, N, xg, sm.phiN)))
     return (2.0 * math.pi * d / sm.c[0]) ** -0.5 * meas * last
@@ -191,9 +240,14 @@ def _transfer_converged(sm: SlicedModel, rtol: float = 1e-12) -> float:
     base_r = max(abs(sm.phi0), abs(sm.phiN)) + 8.0 * math.sqrt(sm.delta * sm.N / c_min)
     prev = None
     for radius in (base_r, 1.4 * base_r):
-        for n_nodes in (120, 240, 480, 960):
+        for n_nodes in _NODE_COUNTS:
             val = _wn_transfer(sm, n_nodes, radius)
             if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+                log.info(
+                    "wn_quadrature: N=%d converged at %d nodes, radius %.6g, "
+                    "relative change %.3e",
+                    sm.N, n_nodes, radius, abs(val - prev) / max(abs(val), 1e-300),
+                )
                 return val
             prev = val
     raise ArithmeticError(
@@ -207,8 +261,6 @@ def wn_quadrature(model: CoefficientModel, boundary, N: int) -> float:
         raise ValueError(f"wn_quadrature supports 1 <= N <= 5, got {N}")
     phi0, phiN = _endpoints(boundary)
     sm = sliced_model(model, N, phi0, phiN)
-    if np.any(sm.a[1:] < 0.0):
-        raise ValueError("wn_quadrature requires a_i >= 0")
     if N == 1:
         return _wn_transfer(sm, 0, 0.0)
     return _transfer_converged(sm)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: config parsing, CSV
 output, determinism, and exit codes.
 """
+import logging
 import shutil
 from pathlib import Path
 
@@ -304,6 +305,31 @@ class TestCompareCommand:
                 assert f1[:6] == f2[:6]
             elif method == "montecarlo":
                 assert f1[4] != f2[4]
+
+    def test_verbose_logs_each_quadrature_and_keeps_the_csv(self, tmp_path, caplog):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_CFG)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["--config", str(cfg), "--out", str(out1), "compare"]) == 0
+        with caplog.at_level(logging.INFO, logger="anharmprop.oracle"):
+            assert main(["--verbose", "--config", str(cfg), "--out", str(out2), "compare"]) == 0
+        converged = [r.getMessage().split()[1] for r in caplog.records
+                     if "converged at" in r.getMessage()]
+        assert converged == ["N=2", "N=3", "N=4", "N=5"]
+        assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
+
+    def test_negative_quartic_on_a_monte_carlo_lattice_exits_3(self, tmp_path, capsys):
+        # a = (tau - 1/3)^2 - 1e-7 passes the model's probe; tau = 1/3 is a
+        # slice point of N = 6 and N = 9 only, so no quadrature row sees it.
+        text = SMALL_CFG.replace(
+            "a = const:0.05", f"a = poly:{1.0 / 9.0 - 1e-7!r},{-2.0 / 3.0!r},1.0"
+        ).replace("N_list = 2,3,4,5,16", "N_list = 2,4,5,6,9")
+        cfg = write_cfg(tmp_path / "neg.cfg", text)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "compare"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "needs a_i >= 0, got a_2 = -1.0" in err and "at tau_2 = 0.333" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "compare.csv").exists()
 
     def test_rows_and_discrepancies(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_CFG)

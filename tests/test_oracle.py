@@ -2,12 +2,14 @@
 transfer-matrix quadrature, the Monte Carlo estimator, the exact
 parabolic-cylinder multi-sum, and the continuum extrapolation.
 """
+import logging
 import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
@@ -39,6 +41,37 @@ TABLE = CoefficientModel(
     c=poly_coefficient([1.0, 0.15]),
     beta=1.2,
 )
+
+# a = (tau - 1/3)^2 - 1e-7 passes CoefficientModel's probe of a but is
+# negative at tau = 1/3, a slice point of N = 3 and N = 6 on beta = 1.
+NEGATIVE_A = CoefficientModel(
+    a=poly_coefficient([1.0 / 9.0 - 1e-7, -2.0 / 3.0, 1.0]), b=0.5, c=1.0, beta=1.0
+)
+
+
+def _full_matrix_slice_factor(sm, i, x, y):
+    """exp(-delta [c_i (y-x)^2/(2 delta^2) + b_i y^2 + a_i y^4]) in one
+    expression, as the transfer step first evaluated it on the node matrix."""
+    d = sm.delta
+    return np.exp(
+        -(sm.c[i] * (y - x) ** 2 / (2.0 * d) + d * (sm.b[i] * y**2 + sm.a[i] * y**4))
+    )
+
+
+def _full_matrix_transfer(sm, n_nodes, radius):
+    """The transfer step as it was first written: fresh Gauss-Legendre nodes
+    and each slice's kernel evaluated entry by entry over the whole matrix."""
+    N, d = sm.N, sm.delta
+    xg, wg = leggauss(n_nodes)
+    xg = xg * radius
+    wg = wg * radius
+    F = _full_matrix_slice_factor(sm, 1, sm.phi0, xg)
+    for i in range(2, N):
+        meas = (2.0 * math.pi * d / sm.c[i - 1]) ** -0.5
+        F = meas * (_full_matrix_slice_factor(sm, i, xg[:, None], xg[None, :]).T @ (wg * F))
+    meas = (2.0 * math.pi * d / sm.c[N - 1]) ** -0.5
+    last = float(np.sum(wg * F * _full_matrix_slice_factor(sm, N, xg, sm.phiN)))
+    return (2.0 * math.pi * d / sm.c[0]) ** -0.5 * meas * last
 
 
 def _pow4_montecarlo(model, boundary, N, samples, seed):
@@ -110,6 +143,28 @@ class TestSlicedModel:
         with pytest.raises(ValueError):
             sliced_model(REFERENCE, 0, *BOUNDARY)
 
+    def test_negative_quartic_on_the_lattice_is_named(self):
+        with pytest.raises(ValueError, match=r"a_2 = -1\.0\d*e-07 at tau_2 = 0\.333"):
+            sliced_model(NEGATIVE_A, 6, *BOUNDARY)
+        # The model's own probe does not see it, and off 1/3 the lattice is fine.
+        assert sliced_model(NEGATIVE_A, 4, *BOUNDARY).a.min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "oracle_call",
+    [
+        lambda: wn_quadrature(NEGATIVE_A, BOUNDARY, 3),
+        lambda: wn_montecarlo(NEGATIVE_A, BOUNDARY, 3, 10_000, 0),
+        lambda: wn_series_exact(NEGATIVE_A, BOUNDARY, 3),
+    ],
+    ids=["quadrature", "montecarlo", "series-exact"],
+)
+def test_negative_quartic_is_refused_by_every_oracle(oracle_call):
+    # Unchecked, the Monte Carlo weight exp(-delta a_1 phi^4) grows without
+    # bound in phi and the estimate came back as an ordinary number.
+    with pytest.raises(ValueError, match=r"a_1 = .* at tau_1 = 0\.333"):
+        oracle_call()
+
 
 @pytest.mark.parametrize(
     "oracle_call",
@@ -157,6 +212,93 @@ class TestQuadrature:
         # N = 1 has no interior points: the value is the bare slice factor.
         sm_val = wn_quadrature(REFERENCE, BOUNDARY, 1)
         assert math.isfinite(sm_val) and sm_val > 0.0
+
+    @pytest.mark.parametrize(
+        "model, pinned",
+        [
+            (REFERENCE, ("0x1.4f12c4e903917p-2", "0x1.4b2571bda066cp-2",
+                         "0x1.49a74ac848cf0p-2", "0x1.48e9b78257479p-2")),
+            (VARYING, ("0x1.39aa89c893ce6p-2", "0x1.342cbbc6e69bap-2",
+                       "0x1.31d567b717540p-2", "0x1.3090c889ff4afp-2")),
+            (TABLE, ("0x1.2c7921fd2da99p-2", "0x1.25b5ec2123355p-2",
+                     "0x1.231d541014d24p-2", "0x1.21b0faea52bedp-2")),
+        ],
+        ids=["reference", "varying", "table"],
+    )
+    def test_bit_identical(self, model, pinned):
+        # float.hex() recorded while every call still built its own nodes and
+        # evaluated each slice's kernel over the whole node matrix.
+        got = tuple(wn_quadrature(model, BOUNDARY, N).hex() for N in (2, 3, 4, 5))
+        assert got == pinned
+
+    @pytest.mark.parametrize("n_nodes", [120, 240])
+    @pytest.mark.parametrize("model", [REFERENCE, VARYING, TABLE], ids=["reference", "varying", "table"])
+    def test_transfer_matches_full_matrix_kernel(self, model, n_nodes):
+        sm = sliced_model(model, 5, *BOUNDARY)
+        for radius in np.linspace(1.5, 4.5, 7):
+            got = oracle._wn_transfer(sm, n_nodes, radius)
+            assert got.hex() == _full_matrix_transfer(sm, n_nodes, radius).hex()
+            # W_N can absorb an ulp in a kernel entry; compare every entry too.
+            y = leggauss(n_nodes)[0] * radius
+            sq_diff = (y[None, :] - y[:, None]) ** 2
+            kernel = np.empty_like(sq_diff)
+            for i in range(2, 5):
+                oracle._slice_kernel(sm, i, sq_diff, y, kernel)
+                full = _full_matrix_slice_factor(sm, i, y[:, None], y[None, :])
+                assert kernel.tobytes() == full.tobytes()
+
+    def test_transfer_holds_two_node_matrices(self):
+        # (y - x)^2 and one kernel buffer; no per-slice temporaries.
+        sm = sliced_model(REFERENCE, 5, *BOUNDARY)
+        oracle._wn_transfer(sm, 240, 3.0)
+        tracemalloc.start()
+        try:
+            oracle._wn_transfer(sm, 240, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 240 * 240 * 8
+
+    def test_node_tables_are_read_only_and_exact(self):
+        assert len(oracle._LEGGAUSS_TABLES) == 2
+        for (xg, wg), n_nodes in zip(oracle._LEGGAUSS_TABLES, (120, 240)):
+            ref_x, ref_w = leggauss(n_nodes)
+            assert xg.tobytes() == ref_x.tobytes() and wg.tobytes() == ref_w.tobytes()
+            for table in (xg, wg):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0.0
+
+    def test_first_two_node_counts_build_no_nodes(self, monkeypatch):
+        def no_leggauss(n_nodes):
+            raise AssertionError(f"leggauss({n_nodes}) called")
+
+        monkeypatch.setattr(oracle, "leggauss", no_leggauss)
+        for model in (REFERENCE, VARYING, TABLE):
+            for N in (2, 3, 4, 5):
+                assert wn_quadrature(model, BOUNDARY, N) > 0.0
+
+    def test_larger_node_counts_still_run(self, monkeypatch):
+        built = []
+
+        def counted(n_nodes):
+            built.append(n_nodes)
+            return leggauss(n_nodes)
+
+        monkeypatch.setattr(oracle, "leggauss", counted)
+        sm = sliced_model(REFERENCE, 4, *BOUNDARY)
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            oracle._transfer_converged(sm, rtol=0.0)
+        assert built == [480, 960, 480, 960]
+
+    def test_convergence_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="anharmprop.oracle"):
+            wn_quadrature(REFERENCE, BOUNDARY, 3)
+        [record] = [r for r in caplog.records if r.name == "anharmprop.oracle"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert message.startswith("wn_quadrature: N=3 converged at 240 nodes, radius ")
+        change = float(message.rsplit(" ", 1)[1])
+        assert 0.0 <= change <= 1e-12
 
 
 class TestMonteCarlo:
