@@ -179,20 +179,6 @@ def _slice_factor(sm: SlicedModel, i: int, x, y):
     )
 
 
-def _slice_kernel(sm: SlicedModel, i: int, sq_diff, y, out):
-    """_slice_factor(sm, i, x[:, None], y[None, :]) into `out`, given
-    sq_diff = (y - x)^2, which every slice shares.  The y terms are one value
-    per node, broadcast down the rows: the same operations on the same values,
-    so the same bits."""
-    d = sm.delta
-    node_term = d * (sm.b[i] * y**2 + sm.a[i] * y**4)
-    np.multiply(sm.c[i], sq_diff, out=out)
-    out /= 2.0 * d
-    out += node_term
-    np.negative(out, out=out)
-    return np.exp(out, out=out)
-
-
 def _read_only_leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     xg, wg = leggauss(n_nodes)
     xg.setflags(write=False)
@@ -224,12 +210,9 @@ def _wn_transfer(sm: SlicedModel, n_nodes: int, radius: float) -> float:
     xg = xg * radius
     wg = wg * radius
     F = _slice_factor(sm, 1, sm.phi0, xg)
-    # One kernel buffer for every slice: a call holds two node x node arrays.
-    sq_diff = (xg[None, :] - xg[:, None]) ** 2
-    kernel = np.empty_like(sq_diff)
     for i in range(2, N):
         meas = (2.0 * math.pi * d / sm.c[i - 1]) ** -0.5
-        F = meas * (_slice_kernel(sm, i, sq_diff, xg, kernel).T @ (wg * F))
+        F = meas * (_slice_factor(sm, i, xg[:, None], xg[None, :]).T @ (wg * F))
     meas = (2.0 * math.pi * d / sm.c[N - 1]) ** -0.5
     last = float(np.sum(wg * F * _slice_factor(sm, N, xg, sm.phiN)))
     return (2.0 * math.pi * d / sm.c[0]) ** -0.5 * meas * last

@@ -59,8 +59,8 @@ def _full_matrix_slice_factor(sm, i, x, y):
 
 
 def _full_matrix_transfer(sm, n_nodes, radius):
-    """The transfer step as it was first written: fresh Gauss-Legendre nodes
-    and each slice's kernel evaluated entry by entry over the whole matrix."""
+    """The transfer step as it was first written, with fresh Gauss-Legendre
+    nodes from leggauss on every call."""
     N, d = sm.N, sm.delta
     xg, wg = leggauss(n_nodes)
     xg = xg * radius
@@ -226,8 +226,7 @@ class TestQuadrature:
         ids=["reference", "varying", "table"],
     )
     def test_bit_identical(self, model, pinned):
-        # float.hex() recorded while every call still built its own nodes and
-        # evaluated each slice's kernel over the whole node matrix.
+        # float.hex() recorded while every call still built its own nodes.
         got = tuple(wn_quadrature(model, BOUNDARY, N).hex() for N in (2, 3, 4, 5))
         assert got == pinned
 
@@ -238,26 +237,6 @@ class TestQuadrature:
         for radius in np.linspace(1.5, 4.5, 7):
             got = oracle._wn_transfer(sm, n_nodes, radius)
             assert got.hex() == _full_matrix_transfer(sm, n_nodes, radius).hex()
-            # W_N can absorb an ulp in a kernel entry; compare every entry too.
-            y = leggauss(n_nodes)[0] * radius
-            sq_diff = (y[None, :] - y[:, None]) ** 2
-            kernel = np.empty_like(sq_diff)
-            for i in range(2, 5):
-                oracle._slice_kernel(sm, i, sq_diff, y, kernel)
-                full = _full_matrix_slice_factor(sm, i, y[:, None], y[None, :])
-                assert kernel.tobytes() == full.tobytes()
-
-    def test_transfer_holds_two_node_matrices(self):
-        # (y - x)^2 and one kernel buffer; no per-slice temporaries.
-        sm = sliced_model(REFERENCE, 5, *BOUNDARY)
-        oracle._wn_transfer(sm, 240, 3.0)
-        tracemalloc.start()
-        try:
-            oracle._wn_transfer(sm, 240, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 240 * 240 * 8
 
     def test_node_tables_are_read_only_and_exact(self):
         assert len(oracle._LEGGAUSS_TABLES) == 2
