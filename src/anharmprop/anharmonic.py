@@ -139,28 +139,34 @@ def h_kappa(kappa: int, boundary: BoundaryData) -> float:
     return float(polyval2d(boundary.phiB_hat, boundary.phi0_hat, C))
 
 
+def _derivatives(c: np.ndarray, axis: int) -> list[np.ndarray]:
+    """c and its first four derivatives along axis, each taken from the last."""
+    out = [c]
+    for _ in range(4):
+        out.append(polyder(out[-1], axis=axis))
+    return out
+
+
+def _sum_pieces(dh: list, dR: list, n_min: int) -> np.ndarray:
+    """sum_{n >= n_min} (1/(2^n n!)) dh[n] dR[n], dh and dR the derivatives of
+    h along phi0 and of R along phiB.  The pieces shrink with n, so each is
+    added into the first."""
+    total = _poly_mul(dh[n_min], dR[n_min]) / (2.0**n_min * math.factorial(n_min))
+    for n in range(n_min + 1, 5):
+        piece = _poly_mul(dh[n], dR[n]) / (2.0**n * math.factorial(n))
+        total[..., : piece.shape[-2], : piece.shape[-1]] += piece
+    return total
+
+
 def _operator_step(h: np.ndarray, R: np.ndarray, n_min: int) -> np.ndarray:
     """O_k R = sum_n (1/(2^n n!)) (d^n_{phi0} h_k)(d^n_{phiB} R), h = h_k.
 
     R holds one polynomial per leading index.  n_min=1 drops the n=0 term
     (the A_k operator of the P1 series).  Derivatives act by exact index
     lowering on the polynomial coefficients, so the result is exact up to
-    rounding.  The pieces shrink with n, so each is added into the first.
+    rounding.
     """
-    dleft, dR = h, R
-    total = None
-    for n in range(5):
-        if n > 0:
-            dleft = polyder(dleft, axis=-1)
-            dR = polyder(dR, axis=-2)
-        if n < n_min:
-            continue
-        piece = _poly_mul(dleft, dR) / (2.0**n * math.factorial(n))
-        if total is None:
-            total = piece
-        else:
-            total[..., : piece.shape[-2], : piece.shape[-1]] += piece
-    return total
+    return _sum_pieces(_derivatives(h, axis=-1), _derivatives(R, axis=-2), n_min)
 
 
 def d_function(kv, boundary: BoundaryData) -> float:
@@ -226,23 +232,6 @@ def _read_only(a):
     return a
 
 
-def _derivatives(c: np.ndarray, axis: int) -> list[np.ndarray]:
-    """c and its first four derivatives along axis, each taken from the last."""
-    out = [c]
-    for _ in range(4):
-        out.append(polyder(out[-1], axis=axis))
-    return out
-
-
-def _sum_pieces(dh: list, dR: list, n_min: int) -> np.ndarray:
-    """_operator_step's sum, from the derivatives of h (dh) and of R (dR)."""
-    total = _poly_mul(dh[n_min], dR[n_min]) / (2.0**n_min * math.factorial(n_min))
-    for n in range(n_min + 1, 5):
-        piece = _poly_mul(dh[n], dR[n]) / (2.0**n * math.factorial(n))
-        total[..., : piece.shape[-2], : piece.shape[-1]] += piece
-    return total
-
-
 def _operator_tables(n_min: int) -> tuple:
     """Per order j = 1..MU_CAP: the monomial columns (p, q) of S_j, the map
     from the integrand pieces of order j to S_j's columns, for gamma = 1/4,
@@ -255,10 +244,10 @@ def _operator_tables(n_min: int) -> tuple:
     for both series (the innermost factor of P1 is h_k).  The monomials the
     images reach are the columns of S_j.
 
-    The images are summed as _operator_step sums them, so they equal its
-    output entry for entry; but the derivatives of each h_k do not depend on
-    the operand, nor the basis's on k, so they are taken once per table and
-    once per order.
+    The images are the operator sum _sum_pieces that _operator_step also
+    calls, so they equal its output entry for entry; the derivatives of each
+    h_k do not depend on the operand, nor the basis's on k, so they are taken
+    once per table and once per order.
     """
     dh = [_derivatives(_h_kappa_poly(k, 0.25), axis=-1) for k in range(5)]
     p = q = np.zeros(1, dtype=np.intp)

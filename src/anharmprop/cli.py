@@ -40,6 +40,7 @@ from .oscillator_ode import (
     GRID_N_MIN,
     CoefficientModel,
     const_coefficient,
+    harmonic_propagator,
     poly_coefficient,
     table_coefficient,
 )
@@ -188,8 +189,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def run_propagator(cfg: dict[str, str], base: Path, outdir: Path) -> None:
     model, phi0, phiN, mu_max, grid_n = _series_inputs(cfg, base)
     breakdown = propagator(model, phi0, phiN, mu_max=mu_max, grid_n=grid_n)
-    # The same operations as harmonic_propagator's value: 1/sqrt(f(beta)) exp(...).
-    harm = 1.0 / math.sqrt(breakdown.f_beta) * breakdown.harmonic_value
+    harm = harmonic_propagator(breakdown.solution, breakdown.boundary)[2]
     rows = []
     cumulative = 0.0
     for mu, (coeff, w) in enumerate(

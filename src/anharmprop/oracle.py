@@ -127,8 +127,7 @@ def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> S
         Sigma[i] = (c[i + 1] / (2.0 * delta)) ** 2 * sigma[i] * sigma[i + 1]
 
     Omega = np.zeros(N + 1)
-    if N >= 1:
-        Omega[0] = 1.0
+    Omega[0] = 1.0
     for i in range(1, N - 1):
         Omega[i] = 1.0 - Sigma[i] / Omega[i - 1]
 
@@ -200,12 +199,8 @@ def _nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wn_transfer(sm: SlicedModel, n_nodes: int, radius: float) -> float:
-    """W_N on Gauss-Legendre nodes over [-radius, radius]."""
+    """W_N, N >= 2, on Gauss-Legendre nodes over [-radius, radius]."""
     N, d = sm.N, sm.delta
-    if N == 1:
-        return (2.0 * math.pi * d / sm.c[0]) ** -0.5 * float(
-            _slice_factor(sm, 1, sm.phi0, sm.phiN)
-        )
     xg, wg = _nodes(n_nodes)
     xg = xg * radius
     wg = wg * radius
@@ -244,8 +239,9 @@ def wn_quadrature(model: CoefficientModel, boundary, N: int) -> float:
         raise ValueError(f"wn_quadrature supports 1 <= N <= 5, got {N}")
     phi0, phiN = _endpoints(boundary)
     sm = sliced_model(model, N, phi0, phiN)
-    if N == 1:
-        return _wn_transfer(sm, 0, 0.0)
+    if N == 1:  # no interior point: W_1 is the bare slice factor
+        meas = (2.0 * math.pi * sm.delta / sm.c[0]) ** -0.5
+        return meas * float(_slice_factor(sm, 1, phi0, phiN))
     return _transfer_converged(sm)
 
 
@@ -482,13 +478,18 @@ def continuum_extrapolate(values) -> tuple[float, float]:
     Fits W_N = p(1/N) by least squares (degree min(3, len-1)) and returns
     (p(0), error_estimate), where the error estimate is the leave-one-out
     spread of the limit, inflated when the sequence is not monotone.
+    Raises ValueError, naming the N, for an N below 1 or a repeated N (a
+    repeat makes the fit rank-deficient).
     """
     pairs = sorted((int(n), float(v)) for n, v in values)
     if len(pairs) < 3:
         raise ValueError("continuum_extrapolate needs at least 3 values")
-    ns = np.array([n for n, _ in pairs], dtype=float)
+    ns = [n for n, _ in pairs]
+    for n in ns:
+        if n < 1 or ns.count(n) > 1:
+            raise ValueError(f"continuum_extrapolate needs distinct N >= 1, got N = {n} in {ns}")
     ws = np.array([v for _, v in pairs])
-    x = 1.0 / ns
+    x = 1.0 / np.array(ns, dtype=float)
     deg = min(3, len(pairs) - 1)
 
     def fit(xs, ys, degree):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_array
 
 from anharmprop import (
@@ -41,6 +41,7 @@ from anharmprop import (
 )
 from anharmprop import anharmonic, oscillator_ode
 from anharmprop.anharmonic import MU_CAP, _h_kappa_poly
+from quintic_reference import local_quintic_ppoly
 
 REFERENCE = CoefficientModel(a=0.05, b=0.5, c=1.0, beta=1.0)
 HARMONIC = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
@@ -112,18 +113,6 @@ def _integrands(grid):
     return np.exp(-k * t) * np.cos(3.0 * k * t) + 0.1 * k * t**2 - 0.5
 
 
-def _local_quintic_ppoly(grid, y):
-    """scipy's PPoly whose piece on each interval is the quintic through the
-    six nodes around it (moved inward at the grid's ends), found by a
-    Vandermonde solve in the local coordinate u = (t - t_i) / dx_i."""
-    n = grid.size - 1
-    nodes = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(6)
-    dx = np.diff(grid)[:, None]
-    u = (grid[nodes] - grid[:-1, None]) / dx
-    coeffs = np.linalg.solve(u[..., None] ** np.arange(6), y[nodes][..., None])[..., 0]
-    return PPoly((coeffs / dx ** np.arange(6))[:, ::-1].T, grid)
-
-
 def _exact_integral(coeffs, lo, hi):
     """int_lo^hi of the polynomial with the given ascending coefficients, in
     Fractions of the float arguments."""
@@ -148,7 +137,7 @@ class TestCumulativeFromRight:
         for y in (rows[2], rows):
             expected = []
             for row in np.atleast_2d(y):
-                pp = _local_quintic_ppoly(grid, row)
+                pp = local_quintic_ppoly(grid, row)
                 pieces = [pp.integrate(a, b) for a, b in zip(grid[:-1], grid[1:])]
                 F = np.cumsum(np.array(pieces, dtype=np.longdouble)[::-1])[::-1]
                 expected.append(np.append(F, 0.0))
@@ -675,9 +664,11 @@ class TestOperatorTables:
 
     @pytest.mark.parametrize("n_min", [0, 1])
     def test_entries_equal_operator_step_images(self, n_min):
-        # The tables take each derivative once; _operator_step, which
-        # d_function uses, takes them again for every operand.  Every entry
-        # must agree bit for bit, and no other monomial may be reached.
+        # The tables take the derivatives of each h_k once per table and those
+        # of the basis once per order; _operator_step, which d_function uses,
+        # takes both for its operand and hands them to the same operator sum.
+        # Every entry must agree bit for bit, and no other monomial may be
+        # reached.
         h = [_h_kappa_poly(k, 0.25) for k in range(5)]
         p = q = np.zeros(1, dtype=np.intp)
         for j, (p_j, q_j, op, _) in enumerate(TABLES[n_min], start=1):

@@ -116,6 +116,28 @@ class TestPropagatorCommand:
         assert w_mu[0] == 1.0
         assert abs(w_mu[1]) < 1e-14 and abs(w_mu[2]) < 1e-14
 
+    def test_breakdown_takes_the_harmonic_factor_from_harmonic_propagator(
+        self, tmp_path, monkeypatch
+    ):
+        # breakdown.csv has no copy of the factor: doubling the one that
+        # harmonic_propagator returns doubles every cumulative total exactly.
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_CFG)
+
+        def cumulative_totals(outdir):
+            assert main(["--config", str(cfg), "--out", str(outdir), "propagator"]) == 0
+            lines = (outdir / "breakdown.csv").read_text().splitlines()[1:]
+            return [float(line.split(",")[3]) for line in lines]
+
+        plain = cumulative_totals(tmp_path / "plain")
+        original = cli.harmonic_propagator
+
+        def doubled(solution, boundary):
+            prefactor, exponent, value = original(solution, boundary)
+            return prefactor, exponent, 2.0 * value
+
+        monkeypatch.setattr(cli, "harmonic_propagator", doubled)
+        assert cumulative_totals(tmp_path / "doubled") == [2.0 * t for t in plain]
+
     def test_missing_beta_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "bad.cfg",

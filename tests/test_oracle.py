@@ -16,6 +16,7 @@ from scipy.linalg import solve_banded
 from anharmprop import (
     CoefficientModel,
     continuum_extrapolate,
+    make_boundary,
     mehler_reference,
     poly_coefficient,
     sliced_model,
@@ -143,6 +144,13 @@ class TestSlicedModel:
         with pytest.raises(ValueError):
             sliced_model(REFERENCE, 0, *BOUNDARY)
 
+    def test_coarse_slice_with_negative_b_is_refused(self):
+        # sigma_1 = 1 / ((c_1 + c_2)/(2 delta) + b_1 delta): with delta = 1/2
+        # the denominator is 2 - 5/2 < 0.
+        model = CoefficientModel(a=0.05, b=-5.0, c=1.0, beta=1.0)
+        with pytest.raises(ArithmeticError, match=r"sigma_1 not positive .* b_1=-5\.0"):
+            sliced_model(model, 2, *BOUNDARY)
+
     def test_negative_quartic_on_the_lattice_is_named(self):
         with pytest.raises(ValueError, match=r"a_2 = -1\.0\d*e-07 at tau_2 = 0\.333"):
             sliced_model(NEGATIVE_A, 6, *BOUNDARY)
@@ -164,6 +172,21 @@ def test_negative_quartic_is_refused_by_every_oracle(oracle_call):
     # bound in phi and the estimate came back as an ordinary number.
     with pytest.raises(ValueError, match=r"a_1 = .* at tau_1 = 0\.333"):
         oracle_call()
+
+
+@pytest.mark.parametrize(
+    "oracle_call",
+    [
+        lambda bd: wn_quadrature(REFERENCE, bd, 3),
+        lambda bd: wn_montecarlo(REFERENCE, bd, 8, 10_000, 0),
+        lambda bd: wn_series_exact(REFERENCE, bd, 3),
+    ],
+    ids=["quadrature", "montecarlo", "series-exact"],
+)
+def test_boundary_data_gives_the_tuple_result(oracle_call):
+    # The endpoints of a BoundaryData are its phi0 and phiB, bit for bit.
+    boundary = make_boundary(solve_Q(REFERENCE), *BOUNDARY)
+    assert repr(oracle_call(boundary)) == repr(oracle_call(BOUNDARY))
 
 
 @pytest.mark.parametrize(
@@ -212,6 +235,16 @@ class TestQuadrature:
         # N = 1 has no interior points: the value is the bare slice factor.
         sm_val = wn_quadrature(REFERENCE, BOUNDARY, 1)
         assert math.isfinite(sm_val) and sm_val > 0.0
+
+    @pytest.mark.parametrize(
+        "model, pinned",
+        [(REFERENCE, "0x1.6159136923cf6p-2"), (VARYING, "0x1.4f5c345388ae6p-2"),
+         (TABLE, "0x1.43cde05fb1486p-2")],
+        ids=["reference", "varying", "table"],
+    )
+    def test_n1_bit_identical(self, model, pinned):
+        # float.hex() recorded while the closed form lived in the transfer step.
+        assert wn_quadrature(model, BOUNDARY, 1).hex() == pinned
 
     @pytest.mark.parametrize(
         "model, pinned",
@@ -344,6 +377,13 @@ class TestMonteCarlo:
         assert abs(mean - ref_mean) <= 1e-15 * abs(ref_mean)
         assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
+    def test_degenerate_bridge_is_refused(self):
+        # b = -1 is an inverted oscillator: every sigma_i is positive, but over
+        # beta = 4 the bridge's precision matrix is not positive definite.
+        model = CoefficientModel(a=0.05, b=-1.0, c=1.0, beta=4.0)
+        with pytest.raises(ArithmeticError, match="degenerate Gaussian bridge covariance at N=16"):
+            wn_montecarlo(model, BOUNDARY, 16, 10_000, 0)
+
     def test_seed_changes_result(self):
         r1 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 50_000, seed=1)
         r2 = wn_montecarlo(REFERENCE, BOUNDARY, 16, 50_000, seed=2)
@@ -409,6 +449,18 @@ class TestSeriesExact:
         with pytest.raises(ValueError):
             wn_series_exact(REFERENCE, BOUNDARY, 4)
 
+    def test_harmonic_model_is_refused(self):
+        # z_i = sigma_i^-1 / sqrt(2 a_i delta) has no finite value at a = 0.
+        model = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
+        with pytest.raises(ValueError, match="needs a_i > 0 on interior slices"):
+            wn_series_exact(model, BOUNDARY, 2)
+
+    def test_unconverged_tail_is_refused(self):
+        # caps=2 sums at caps 2, 3, 4 and 6 and stops with the tail still
+        # above tail_tol.
+        with pytest.raises(ArithmeticError, match=r"tail \S+ above 1e-08 at cap 6$"):
+            wn_series_exact(REFERENCE, BOUNDARY, 2, caps=2)
+
     @pytest.mark.parametrize(
         "model, N, pinned",
         [
@@ -449,3 +501,46 @@ class TestContinuumExtrapolate:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             continuum_extrapolate([(2, 1.0), (3, 1.1)])
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([(2, 1.0), (2, 1.1), (3, 1.2)], 2),
+            ([(2, 1.0), (3, 1.1), (5, 1.2), (5, 1.3)], 5),
+            ([(0, 1.0), (2, 1.1), (3, 1.2)], 0),
+            ([(3, 1.0), (-1, 1.1), (2, 1.2)], -1),
+        ],
+        ids=["repeated", "repeated-last", "zero", "negative"],
+    )
+    def test_refuses_repeated_or_non_positive_n(self, values, bad):
+        # A repeated N made the fit rank-deficient and N = 0 divided by zero;
+        # both came back as ordinary numbers.
+        with pytest.raises(ValueError, match=rf"distinct N >= 1, got N = {bad} in"):
+            continuum_extrapolate(values)
+
+    @pytest.mark.parametrize(
+        "values, pinned",
+        [
+            ([(2, 1.0), (3, 1.12), (4, 1.15)], ("0x1.1eb851eb851ebp+0", "0x1.8af8af8af8ae8p-3")),
+            ([(2, 0.41), (3, 0.405), (4, 0.4031), (5, 0.4022), (16, 0.4009)],
+             ("0x1.9a94fe3dd76b6p-2", "0x1.4d6c67277d800p-13")),
+        ],
+        ids=["three", "five"],
+    )
+    def test_bit_identical(self, values, pinned):
+        # float.hex() recorded before repeated and non-positive N were refused.
+        limit, err = continuum_extrapolate(values)
+        assert (limit.hex(), err.hex()) == pinned
+
+    def test_non_monotone_sequence_is_flagged(self, caplog):
+        # Three points: the limit is the quadratic through them and the spread
+        # that of the straight-line fit; a turn in the sequence doubles the
+        # spread and adds the largest step, here 1.2 - 1.0.
+        x, ws = 1.0 / np.array([2.0, 3.0, 4.0]), np.array([1.0, 1.2, 1.1])
+        quadratic = np.polynomial.polynomial.polyfit(x, ws, 2)[0]
+        spread = abs(np.polynomial.polynomial.polyfit(x, ws, 1)[0] - quadratic)
+        with caplog.at_level(logging.WARNING, logger="anharmprop.oracle"):
+            limit, err = continuum_extrapolate([(2, 1.0), (3, 1.2), (4, 1.1)])
+        assert "continuum_extrapolate: non-monotone W_N sequence" in caplog.text
+        assert limit == quadratic
+        assert err == 2.0 * spread + (1.2 - 1.0)

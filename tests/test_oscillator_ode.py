@@ -36,6 +36,7 @@ from anharmprop import (
     w_mu_direct,
 )
 from anharmprop import oscillator_ode
+from quintic_reference import local_quintic_ppoly
 
 CONSTANT = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
 LINEAR_C = CoefficientModel(
@@ -57,18 +58,6 @@ MODELS = [CONSTANT, LINEAR_C, OSCILLATING_B]
 
 def _table(beta, values):
     return table_coefficient(np.linspace(0.0, beta, len(values)), values)
-
-
-def _local_quintic_ppoly(grid, y):
-    """scipy's PPoly whose piece on each interval is the quintic through the
-    six nodes around it (moved inward at the grid's ends), found by a
-    Vandermonde solve in the local coordinate u = (t - t_i) / dx_i."""
-    n = grid.size - 1
-    nodes = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(6)
-    dx = np.diff(grid)[:, None]
-    u = (grid[nodes] - grid[:-1, None]) / dx
-    coeffs = np.linalg.solve(u[..., None] ** np.arange(6), y[nodes][..., None])[..., 0]
-    return PPoly((coeffs / dx ** np.arange(6))[:, ::-1].T, grid)
 
 
 # Non-constant c and b make every RK4 stage time matter, so these pin the
@@ -529,7 +518,7 @@ class TestKernel:
         # antiderivative(tau) would cancel near beta.
         model = PINNED[name][0]
         sol = solve_Q(model, grid_n=grid_n)
-        pp = _local_quintic_ppoly(sol.grid, sol._integrand)
+        pp = local_quintic_ppoly(sol.grid, sol._integrand)
         c0, beta = float(sol.c[0]), model.beta
         taus = np.concatenate([
             np.random.default_rng(7).uniform(0.0, 0.999 * beta, 40),
@@ -835,6 +824,15 @@ class TestHarmonicPropagator:
         pref, expo, value = harmonic_propagator(sol, boundary)
         assert value == pytest.approx(pref * math.exp(expo), rel=1e-15, abs=0.0)
         assert pref == pytest.approx(1.0 / math.sqrt(float(sol.f[-1])), rel=1e-15, abs=0.0)
+
+    def test_negative_f_beta_is_refused(self):
+        # f(beta) <= 0 is a caustic: 1/sqrt(f(beta)) has no real value.
+        sol = solve_Q(CONSTANT)
+        f = sol.f.copy()
+        f[-1] = -1.0
+        bad = dataclasses.replace(sol, f=f)
+        with pytest.raises(ArithmeticError, match=r"f\(beta\) = -1\.0 <= 0"):
+            harmonic_propagator(bad, make_boundary(bad, 0.3, -0.2))
 
     def test_boundary_hatted_variables(self):
         sol = solve_Q(CONSTANT)
