@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -294,45 +295,71 @@ def _bridge_setup(sm: SlicedModel):
     return chol, mean, log_z
 
 
-def _mc_chunk(sm: SlicedModel, chol: np.ndarray, mean: np.ndarray, seq, count: int):
-    """Sum and sum-of-squares of the quartic reweighting over one chunk."""
+def _mc_chunk(bridges, seq, count: int):
+    """Sum and sum-of-squares of the quartic reweighting over one chunk, for
+    each (sliced model, Cholesky factor, mean) in `bridges`.
+
+    Every N reads the chunk's one stream of normals from its start, in rows
+    of its own n = N - 1, so each N sees exactly the rows that it alone would
+    draw.  The stream is drawn once, _MC_BLOCK * n_max normals at a time, into
+    one buffer that keeps the last n_max - 1 normals of the piece before it:
+    a row that straddles two pieces is still read whole.
+    """
     rng = np.random.Generator(np.random.Philox(seq))
-    n = mean.size
-    u, diag = chol
-    a = sm.a[1 : sm.N]
-    logw = np.zeros(count)
+    n_max = max(mean.size for _, _, mean in bridges)
+    keep = n_max - 1
+    buf = np.empty(keep + _MC_BLOCK * n_max)
+    logws = [np.zeros(count) for _ in bridges]
     tmp = np.empty(min(_MC_BLOCK, count))
-    # Block after block, (rows, n) draws take the same normals as one
-    # (count, n) draw.  P = U^T U with U upper bidiagonal (diag, u), so a path
-    # is mean + x with U x = xi, solved from the last slice up; a_j (phi_j^2)^2
-    # joins the log-weight as soon as slice j is solved.  (phi^2)^2 rather
-    # than phi**4: numpy evaluates the power with libm pow, which is slow for
-    # negative bases.
-    for start in range(0, count, _MC_BLOCK):
-        rows = min(_MC_BLOCK, count - start)
-        x = np.ascontiguousarray(rng.standard_normal((rows, n)).T)
-        acc, t = logw[start : start + rows], tmp[:rows]
-        for j in range(n - 1, -1, -1):
-            if j < n - 1:
-                x[j] -= np.multiply(x[j + 1], u[j + 1], out=t)
-            x[j] /= diag[j]
-            np.square(np.add(x[j], mean[j], out=t), out=t)
-            np.square(t, out=t)
-            t *= a[j]
-            acc += t
-    logw *= -sm.delta
-    w = np.exp(logw, out=logw)
-    return float(np.sum(w)), float(np.sum(w * w))
+    drawn = 0  # buf[keep] is normal number `drawn` of the stream
+    while drawn < n_max * count:
+        piece = min(_MC_BLOCK * n_max, n_max * count - drawn)
+        rng.standard_normal(out=buf[keep : keep + piece])
+        for (sm, (u, diag), mean), logw in zip(bridges, logws):
+            n = mean.size
+            a = sm.a[1 : sm.N]
+            # Rows whose normals all lie in the buffer and were not weighed
+            # with the piece before.
+            first, end = min(count, drawn // n), min(count, (drawn + piece) // n)
+            # Block after block of at most _MC_BLOCK rows.  P = U^T U with U
+            # upper bidiagonal (diag, u), so a path is mean + x with U x = xi,
+            # solved from the last slice up; a_j (phi_j^2)^2 joins the
+            # log-weight as soon as slice j is solved.  (phi^2)^2 rather than
+            # phi**4: numpy evaluates the power with libm pow, which is slow
+            # for negative bases.
+            for start in range(first, end, _MC_BLOCK):
+                rows = min(_MC_BLOCK, end - start)
+                at = keep + start * n - drawn
+                # A copy even for n = 1, where the transpose is contiguous
+                # already: the solve below writes into x in place.
+                x = buf[at : at + rows * n].reshape(rows, n).T.copy()
+                acc, t = logw[start : start + rows], tmp[:rows]
+                for j in range(n - 1, -1, -1):
+                    if j < n - 1:
+                        x[j] -= np.multiply(x[j + 1], u[j + 1], out=t)
+                    x[j] /= diag[j]
+                    np.square(np.add(x[j], mean[j], out=t), out=t)
+                    np.square(t, out=t)
+                    t *= a[j]
+                    acc += t
+        buf[:keep] = buf[piece : piece + keep]
+        drawn += piece
+    sums = []
+    for (sm, _, _), logw in zip(bridges, logws):
+        logw *= -sm.delta
+        w = np.exp(logw, out=logw)
+        sums.append((float(np.sum(w)), float(np.sum(w * w))))
+    return sums
 
 
 def wn_montecarlo(
     model: CoefficientModel,
     boundary,
-    N: int,
+    N: int | Sequence[int],
     samples: int,
     seed: int,
     workers: int = 1,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[tuple[float, float], ...]:
     """Importance-sampled W_N estimate; returns (mean, stderr).
 
     The harmonic bridge (kinetic + quadratic terms, fixed endpoints) is
@@ -341,9 +368,21 @@ def wn_montecarlo(
     Philox counter chunks spawned from SeedSequence(seed), accumulated in a
     fixed order, so the result depends only on (inputs, seed) — never on
     `workers`.
+
+    `N` may also be a sequence of slice counts; the result is then a tuple
+    of (mean, stderr) pairs in the same order, each bit-identical to its own
+    call with that N.  Every N reads the same per-chunk streams, so they are
+    drawn once for all of them, and the N's estimates share their normals
+    exactly as separate calls would.
     """
-    if N < 2 or N > 512:
-        raise ValueError(f"wn_montecarlo supports 2 <= N <= 512, got {N}")
+    single = np.ndim(N) == 0
+    ns = [N] if single else list(N)
+    if not ns:
+        raise ValueError("wn_montecarlo needs at least one N, got an empty sequence")
+    for n in ns:
+        if n < 2 or n > 512:
+            where = "" if single else f" in {ns}"
+            raise ValueError(f"wn_montecarlo supports 2 <= N <= 512, got {n}{where}")
     if samples < 10_000:
         raise ValueError(f"samples must be >= 10000, got {samples}")
     if workers < 1:
@@ -351,31 +390,37 @@ def wn_montecarlo(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     phi0, phiN = _endpoints(boundary)
-    sm = sliced_model(model, N, phi0, phiN)
-    chol, mean, log_z = _bridge_setup(sm)
-    z_gauss = math.exp(log_z)
+    bridges, z_gauss = [], []
+    for n in ns:
+        sm = sliced_model(model, n, phi0, phiN)
+        chol, mean, log_z = _bridge_setup(sm)
+        bridges.append((sm, chol, mean))
+        z_gauss.append(math.exp(log_z))
 
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
     counts = [min(_MC_CHUNK, samples - k * _MC_CHUNK) for k in range(n_chunks)]
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
 
     def run(k: int):
-        return _mc_chunk(sm, chol, mean, seqs[k], counts[k])
+        return _mc_chunk(bridges, seqs[k], counts[k])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(n_chunks)))
     else:
         parts = [run(k) for k in range(n_chunks)]
-    sum_w = 0.0
-    sum_w2 = 0.0
-    for sw, sw2 in parts:  # fixed reduction order
-        sum_w += sw
-        sum_w2 += sw2
-    mean_w = sum_w / samples
-    var_w = max(sum_w2 / samples - mean_w**2, 0.0)
-    stderr = math.sqrt(var_w / samples)
-    return z_gauss * mean_w, z_gauss * stderr
+    results = []
+    for z, chunk_sums in zip(z_gauss, zip(*parts)):
+        sum_w = 0.0
+        sum_w2 = 0.0
+        for sw, sw2 in chunk_sums:  # fixed reduction order
+            sum_w += sw
+            sum_w2 += sw2
+        mean_w = sum_w / samples
+        var_w = max(sum_w2 / samples - mean_w**2, 0.0)
+        stderr = math.sqrt(var_w / samples)
+        results.append((z * mean_w, z * stderr))
+    return results[0] if single else tuple(results)
 
 
 # ---------------------------------------------------------------------------

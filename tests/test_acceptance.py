@@ -186,8 +186,9 @@ def test_criterion_07_anharmonic_vs_oracle():
     bd = (0.3, -0.2)
     pairs = [(n, wn_quadrature(REFERENCE, bd, n)) for n in (2, 3, 4, 5)]
     mc_errs = []
-    for n in (32, 64, 128):
-        val, err = wn_montecarlo(REFERENCE, bd, n, 1_000_000, seed=1234, workers=4)
+    mc_ns = (32, 64, 128)
+    for n, (val, err) in zip(mc_ns, wn_montecarlo(REFERENCE, bd, mc_ns, 1_000_000, seed=1234,
+                                                  workers=4)):
         pairs.append((n, val))
         mc_errs.append(err)
     limit, extrap_err = continuum_extrapolate(pairs)

@@ -302,6 +302,14 @@ class TestPropagatorCommand:
 
 
 class TestCompareCommand:
+    def test_golden_compare(self, tmp_path):
+        # The reference run is pinned byte for byte, Monte Carlo rows
+        # included: they depend on numpy's Philox stream and normal sampler.
+        rc = main(["--config", str(REFERENCE_CFG), "--out", str(tmp_path), "compare"])
+        assert rc == 0
+        got = (tmp_path / "compare.csv").read_bytes()
+        assert got == (GOLDEN / "compare.csv").read_bytes()
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_CFG)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

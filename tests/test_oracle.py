@@ -357,6 +357,16 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 10e6
 
+    def test_sequence_memory_stays_small(self):
+        # Both N of a compare run share one chunk's stream buffer.
+        tracemalloc.start()
+        try:
+            wn_montecarlo(REFERENCE, BOUNDARY, (32, 64), 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_bridge_arrays_are_read_only(self):
         chol, mean, _ = oracle._bridge_setup(sliced_model(REFERENCE, 16, *BOUNDARY))
         for arr in (chol, mean):
@@ -399,6 +409,62 @@ class TestMonteCarlo:
         assert mean == pytest.approx(
             mehler_reference(k, nu, *BOUNDARY), rel=1e-3
         )
+
+    @pytest.mark.parametrize(
+        "ns, samples",
+        [((64, 32, 17), 70_000), ((2, 3, 16), 70_000), ((2,), 20_000), ((32, 64), 100_000)],
+        ids=["unsorted", "n-1-first", "n-1-alone", "compare"],
+    )
+    @pytest.mark.parametrize("model", [REFERENCE, TABLE], ids=["reference", "table"])
+    def test_sequence_matches_int_calls(self, model, ns, samples):
+        # Each N reads the shared stream from its own position in rows of its
+        # own n; 70 000 samples end both a chunk and a block part-way.
+        got = wn_montecarlo(model, BOUNDARY, ns, samples, seed=6)
+        assert isinstance(got, tuple) and len(got) == len(ns)
+        for n, pair in zip(ns, got):
+            ref = wn_montecarlo(model, BOUNDARY, n, samples, seed=6)
+            assert pair[0].hex() == ref[0].hex() and pair[1].hex() == ref[1].hex(), n
+
+    @pytest.mark.parametrize("block", [7, 1000, 65_536])
+    def test_sequence_block_size_does_not_move_the_result(self, monkeypatch, block):
+        ns = (16, 2, 9)
+        refs = [wn_montecarlo(REFERENCE, BOUNDARY, n, 70_000, seed=4) for n in ns]
+        monkeypatch.setattr(oracle, "_MC_BLOCK", block)
+        got = wn_montecarlo(REFERENCE, BOUNDARY, ns, 70_000, seed=4)
+        for n, pair, ref in zip(ns, got, refs):
+            assert pair[0].hex() == ref[0].hex() and pair[1].hex() == ref[1].hex(), n
+
+    def test_sequence_deterministic_across_workers(self):
+        ns = (32, 9, 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            r4 = wn_montecarlo(REFERENCE, BOUNDARY, ns, 150_000, seed=9, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        r1 = wn_montecarlo(REFERENCE, BOUNDARY, ns, 150_000, seed=9, workers=1)
+        for a, b in zip(r1, r4):
+            assert a[0].hex() == b[0].hex() and a[1].hex() == b[1].hex()
+
+    @pytest.mark.parametrize(
+        "ns, match",
+        [
+            ((), "at least one N, got an empty sequence"),
+            ([], "at least one N, got an empty sequence"),
+            ((32, 600), r"2 <= N <= 512, got 600 in \[32, 600\]"),
+            ((1, 32), r"2 <= N <= 512, got 1 in \[1, 32\]"),
+            (np.array([32, 64, 0]), r"2 <= N <= 512, got 0 in "),
+        ],
+        ids=["empty-tuple", "empty-list", "too-large", "too-small", "array"],
+    )
+    def test_sequence_is_validated_before_any_work(self, monkeypatch, ns, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("wn_montecarlo did work before checking its N")
+
+        monkeypatch.setattr(oracle, "sliced_model", no_work)
+        monkeypatch.setattr(oracle, "_mc_chunk", no_work)
+        with pytest.raises(ValueError, match=match):
+            wn_montecarlo(REFERENCE, BOUNDARY, ns, 50_000, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
