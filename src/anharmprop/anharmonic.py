@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
-from scipy.interpolate import CubicSpline  # not called here; perfbench/tracing.py rebinds it
 from scipy.sparse import csr_array, issparse
 
 from .oscillator_ode import (
@@ -52,6 +51,18 @@ __all__ = [
     "p1_series",
     "series_coefficient",
 ]
+
+
+def __getattr__(name: str):
+    # CubicSpline is kept only for perfbench/tracing.py, which rebinds it here;
+    # no code here calls it.  Looking scipy's class up on first access keeps
+    # scipy.interpolate out of the package import.
+    if name == "CubicSpline":
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MU_CAP = 4
 

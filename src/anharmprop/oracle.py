@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.special import poch
 
 from .oscillator_ode import BoundaryData, CoefficientModel, _require_finite_endpoints
 from .special_fn import pcf_scaled
@@ -443,6 +442,8 @@ def _series_prefactor(sm: SlicedModel) -> float:
 
 def _series_sum(sm: SlicedModel, cap: int) -> float:
     """The rho/n_i multi-sum for N in {2, 3} with all caps equal to `cap`."""
+    from scipy.special import poch
+
     N, d = sm.N, sm.delta
     if N not in (2, 3):
         raise ValueError(f"wn_series_exact supports N <= 3, got {N}")

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline  # table_coefficient; perfbench/tracing.py rebinds it
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "Coefficient",
@@ -36,6 +36,18 @@ __all__ = [
     "harmonic_propagator",
     "mehler_reference",
 ]
+
+
+def __getattr__(name: str):
+    # CubicSpline is kept only for perfbench/tracing.py, which rebinds it here;
+    # no code here calls it.  Looking scipy's class up on first access keeps
+    # scipy.interpolate out of the package import.
+    if name == "CubicSpline":
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The smallest grid_n that solve_Q accepts.
 GRID_N_MIN = 64
@@ -87,17 +99,75 @@ def poly_coefficient(coeffs: Sequence[float]) -> Coefficient:
     )
 
 
+def _cubic_evaluator(knots: np.ndarray, rows: tuple[np.ndarray, ...]):
+    """tau -> sum_k rows[k] (tau - t_i)^k on the piece i holding tau, the end
+    pieces extended past the knots.  The powers and the sum are formed in
+    scipy PPoly's ascending order, so the result is PPoly's bit for bit.
+    PPoly's sum starts from 0.0; the caller adds that 0.0 to rows[0], which
+    turns a -0.0 constant term into +0.0."""
+    table = np.stack((knots[:-1],) + rows)
+    table.flags.writeable = False
+    inner = knots[1:-1]
+
+    def evaluate(tau):
+        t = np.asarray(tau, dtype=float)
+        flat = t.reshape(-1)
+        g = table.take(np.searchsorted(inner, flat, side="right"), axis=1)
+        s = flat - g[0]
+        out = g[2] * s
+        out += g[1]
+        z = s.copy()
+        for row in g[3:]:
+            z *= s
+            row *= z
+            out += row
+        return out.reshape(t.shape)
+
+    return evaluate
+
+
 def table_coefficient(taus: Sequence[float], values: Sequence[float]) -> Coefficient:
+    """The not-a-knot cubic spline through (taus, values) and its first two
+    derivatives, built and evaluated with the arithmetic of scipy 1.17.1's
+    `CubicSpline` (the same LAPACK dgtsv solve for the knot slopes, and
+    `CubicHermiteSpline`'s piece coefficients), so each equals scipy's bit
+    for bit."""
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
     if taus.ndim != 1 or taus.size < 4 or np.any(np.diff(taus) <= 0):
         raise ValueError("table coefficient needs >= 4 strictly increasing samples")
-    spl = CubicSpline(taus, values)
+    if values.shape != taus.shape:
+        raise ValueError(
+            f"table coefficient needs one value per tau: {values.shape} values, {taus.size} taus"
+        )
+    if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(values))):
+        raise ValueError("table coefficient needs finite taus and values")
+    dx = np.diff(taus)
+    slope = np.diff(values) / dx
+    # Tridiagonal system for the slopes at the knots, with not-a-knot ends.
+    d = np.empty_like(taus)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0], d[-1] = dx[1], dx[-2]
+    du = np.concatenate(([taus[2] - taus[0]], dx[:-1]))
+    dl = np.concatenate((dx[1:], [taus[-1] - taus[-3]]))
+    b = np.empty_like(taus)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    h = taus[2] - taus[0]
+    b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h
+    h = taus[-1] - taus[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
+    *_, s, info = dgtsv(dl, d, du, b)
+    if info != 0:
+        raise ValueError(f"table coefficient: the spline's slope system is singular (info={info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    cubic = t / dx
+    quadratic = (slope - s[:-1]) / dx - t
+    # PPoly.derivative scales each coefficient by its rising factorial.
     return Coefficient(
         "table",
-        spl,
-        spl.derivative(1),
-        spl.derivative(2),
+        _cubic_evaluator(taus, (values[:-1] + 0.0, s[:-1], quadratic, cubic)),
+        _cubic_evaluator(taus, (s[:-1] + 0.0, quadratic * 2.0, cubic * 3.0)),
+        _cubic_evaluator(taus, (quadratic * 2.0 + 0.0, cubic * 6.0)),
         describe=f"table:{float(taus[0])!r},{float(taus[-1])!r}",
     )
 

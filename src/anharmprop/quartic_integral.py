@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .special_fn import adaptive_sum, log_equarter_D, pochhammer
 
@@ -25,6 +23,8 @@ def _check_a(a: float) -> None:
 
 def i1_quadrature(a: float, b: float, c: float, rtol: float = 1e-12) -> float:
     """Direct adaptive quadrature of the integrand over the real line."""
+    from scipy.integrate import quad
+
     _check_a(a)
 
     def f(x: float) -> float:
@@ -80,6 +80,8 @@ def i1_hermite_method(
     with the inner j-sum (the Taylor expansion around argument 0 that resums
     to e^{z^2/4} D_{-mu-1/2}(z)) monitored explicitly for convergence.
     """
+    from scipy.special import gammaln
+
     _check_a(a)
     if b <= 0.0:
         raise ValueError(f"i1_hermite_method requires b > 0, got {b}")

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
-from scipy.special import gammaln, hyp2f1, logsumexp
 
 __all__ = [
     "HermiteIncompleteSpec",
@@ -87,6 +86,8 @@ _TS_NODES = _ts_table(_TS_H)
 
 def _log_half_line_integral(m: int, z: float) -> float:
     """log of int_0^inf x^{m-1/2} exp(-x^2/2 - z x) dx, tanh-sinh in log-space."""
+    from scipy.special import logsumexp
+
     prev = None
     for level in range(6):
         stride = 2 ** (5 - level)
@@ -120,6 +121,8 @@ def _order_to_m(nu: float) -> int:
 
 def log_equarter_D(m: int, z: float) -> float:
     """log( e^{z^2/4} D_{-m-1/2}(z) ), stable for all supported arguments."""
+    from scipy.special import gammaln
+
     return _log_half_line_integral(m, z) - float(gammaln(m + 0.5))
 
 
@@ -159,6 +162,8 @@ def pcf_poincare(nu: float, z: float, J: int) -> tuple[float, float]:
     first omitted term and two Gauss hypergeometric factors.  Valid in the
     regime z^2 >> m; a hard domain check enforces z^2 > 2m.
     """
+    from scipy.special import hyp2f1
+
     m = _order_to_m(nu)
     if J < 0:
         raise ValueError(f"J must be non-negative, got {J}")

@@ -285,6 +285,21 @@ class TestPropagatorCommand:
         assert f"spans {span}" in err and "does not cover [0, beta]" in err
         assert not (tmp_path / "breakdown.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.0,1.0\n0.5,1.0\n0.5,1.0\n1.0,1.0\n", "0.0,1.0\n0.25,nan\n0.5,1.0\n1.0,1.0\n"],
+        ids=["repeated-tau", "nan-value"],
+    )
+    def test_malformed_table_exits_2(self, tmp_path, capsys, rows):
+        (tmp_path / "ctab.csv").write_text(rows)
+        cfg = write_cfg(
+            tmp_path / "t.cfg", SMALL_CFG.replace("c = const:1.0", "c = table:ctab.csv")
+        )
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "propagator"])
+        assert rc == 2
+        assert "bad coefficient spec 'table:ctab.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "breakdown.csv").exists()
+
     def test_table_path_containing_hash(self, tmp_path):
         taus = np.linspace(0.0, 1.0, 21)
         np.savetxt(

@@ -8,6 +8,7 @@ Closed forms used as oracles:
 """
 import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -196,6 +197,51 @@ def _counting(model):
     )
 
 
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _assert_matches_scipy(taus, values, probe):
+    spline = CubicSpline(taus, values)
+    coeff = table_coefficient(taus, values)
+    for got, ref in zip(
+        (coeff.value, coeff.d1, coeff.d2),
+        (spline, spline.derivative(1), spline.derivative(2)),
+    ):
+        assert _hexes(got(probe)) == _hexes(ref(probe))
+        scalar = got(float(probe[-1]))
+        assert scalar.shape == () and _hexes(scalar) == _hexes(ref(float(probe[-1])))
+        assert got(probe[:12].reshape(3, 4)).shape == (3, 4)
+
+
+class TestTableMatchesScipy:
+    """table_coefficient is scipy's not-a-knot CubicSpline and its first two
+    derivatives, bit for bit, inside and past the samples."""
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 23, 40])
+    def test_generated_tables_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            taus = np.cumsum(rng.uniform(0.02, 1.0, n)) - rng.uniform(0.0, 1.0)
+            values = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 3))
+            probe = np.concatenate(
+                [
+                    taus,
+                    taus[0] - rng.uniform(0.0, 2.0, 4),
+                    taus[-1] + rng.uniform(0.0, 2.0, 4),
+                    rng.uniform(taus[0], taus[-1], 24),
+                ]
+            )
+            _assert_matches_scipy(taus, values, probe)
+
+    def test_signed_zeros_bit_identical(self):
+        # PPoly starts its sum from +0.0, so a sum of -0.0 terms reads +0.0;
+        # some of these tables reach that case in the value, some in d2.
+        taus = np.array([0.0, 0.3, 0.7, 1.0, 1.5])
+        probe = np.concatenate([taus, [-1.0, 0.5, 1.2, 2.0] * 2])
+        for values in itertools.product([0.0, -0.0, -1.0], repeat=taus.size):
+            _assert_matches_scipy(taus, np.array(values), probe)
+
 class TestCoefficients:
     def test_const(self):
         coeff = const_coefficient(2.5)
@@ -223,6 +269,22 @@ class TestCoefficients:
             table_coefficient([0.0, 1.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             table_coefficient([0.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "taus, values",
+        [
+            ([0.0, 0.25, math.nan, 0.75, 1.0], [1.0] * 5),
+            ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 1.0, math.inf, 1.0, 1.0]),
+            ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0] * 4),
+            ([0.0, 0.25, 0.5, 0.75, 1.0], [[1.0] * 5]),
+            ([0.0, 0.25, 0.5, 0.75, 1.0], [[1.0]] * 5),
+            ([0.0, 0.25, 0.25, 0.75, 1.0], [1.0] * 5),
+        ],
+        ids=["nan-tau", "inf-value", "length-mismatch", "2-d-row", "2-d-column", "repeated-tau"],
+    )
+    def test_table_rejects_malformed_samples(self, taus, values):
+        with pytest.raises(ValueError, match="table coefficient needs"):
+            table_coefficient(taus, values)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
