@@ -7,11 +7,12 @@ The defining object is the (N-1)-dimensional integral
     E_N = sum_{i=1}^N D [ c_i/2 ((phi_i - phi_{i-1})/D)^2
                           + b_i phi_i^2 + a_i phi_i^4 ],    D = beta / N,
 
-with fixed endpoints phi_0 and phi_N and coefficients sampled at tau_i = i D.
-Three independent evaluations are provided: deterministic transfer-matrix
-quadrature, Gaussian-bridge importance-sampled Monte Carlo, and (for N <= 3)
-the exact parabolic-cylinder multi-sum.  continuum_extrapolate pushes a
-sequence of W_N values toward N -> infinity.
+with fixed endpoints phi_0 and phi_N and coefficients sampled at tau_i = i D,
+which SlicedModel holds.  Three independent evaluations read it: deterministic
+transfer-matrix quadrature, Gaussian-bridge importance-sampled Monte Carlo,
+and (for N <= 3) the exact parabolic-cylinder multi-sum, which derives its own
+sigma_i, Sigma_i and z_i.  continuum_extrapolate pushes a sequence of W_N
+values toward N -> infinity.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import logging
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,14 +58,11 @@ def _endpoints(boundary) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SlicedModel:
-    """Per-slice coefficient samples and the derived discrete symbols.
+    """The continuum model sampled on the N-slice grid.
 
-    Arrays are indexed by the slice point i (tau_i = i*delta), padded with
-    leading entries so that `a[i]` is a(tau_i); entries outside each symbol's
-    defined range are zero.  sigma, z, psi live on i = 1..N-1; Sigma on
-    i = 1..N-2; Omega on i = 0..N-2; Q on i = 0..N-1 (difference equation);
-    d on i = 0..N-2; D[i] is the suffix sum d_i + ... + d_{N-2}; X and Y are
-    the endpoint-dependent globals (Y = D[0]).  z[i] is +inf where a_i = 0.
+    a, b and c hold the coefficients at the slice points tau_i = i*delta,
+    i = 0..N, so that `a[i]` is a(tau_i); phi0 and phiN are the fixed
+    endpoints.  Each oracle derives whatever else it needs from these.
     """
 
     N: int
@@ -74,22 +72,19 @@ class SlicedModel:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    sigma: np.ndarray
-    Sigma: np.ndarray
-    z: np.ndarray
-    psi: np.ndarray
-    Omega: np.ndarray
-    Q: np.ndarray
-    d: np.ndarray
-    D: np.ndarray
-    X: float
-    Y: float
+
+
+def _slice_width(c, b, delta, i):
+    """1/sigma_i = (c_i + c_{i+1})/(2 delta) + b_i delta, the Gaussian width
+    of interior slice i; `i` may be an index array."""
+    return (c[i] + c[i + 1]) / (2.0 * delta) + b[i] * delta
 
 
 def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> SlicedModel:
-    """Sample the continuum model on the N-slice grid and build the symbols.
+    """Sample the continuum model on the N-slice grid.
 
-    Raises ValueError, naming i and tau_i, where a_i < 0 for some i = 1..N.
+    Raises ValueError, naming i and tau_i, where a_i < 0 for some i = 1..N,
+    and ArithmeticError, naming the first such i, where _slice_width is not.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -108,61 +103,11 @@ def sliced_model(model: CoefficientModel, N: int, phi0: float, phiN: float) -> S
             f"the sliced quartic weight needs a_i >= 0, got a_{i} = {float(a[i])!r} "
             f"at tau_{i} = {float(tau[i])!r}"
         )
-
-    sigma = np.zeros(N + 1)
-    z = np.zeros(N + 1)
-    psi = np.zeros(N + 1)
-    for i in range(1, N):
-        denom = (c[i] + c[i + 1]) / (2.0 * delta) + b[i] * delta
-        if denom <= 0.0:
-            raise ArithmeticError(
-                f"sigma_{i} not positive (slice too coarse for b_{i}={b[i]})"
-            )
-        sigma[i] = 1.0 / denom
-        z[i] = denom / math.sqrt(2.0 * a[i] * delta) if a[i] > 0.0 else math.inf
-        psi[i] = c[i + 1] / (c[i + 1] + c[i] + 2.0 * b[i] * delta**2)
-
-    Sigma = np.zeros(N + 1)
-    for i in range(1, N - 1):
-        Sigma[i] = (c[i + 1] / (2.0 * delta)) ** 2 * sigma[i] * sigma[i + 1]
-
-    Omega = np.zeros(N + 1)
-    Omega[0] = 1.0
-    for i in range(1, N - 1):
-        Omega[i] = 1.0 - Sigma[i] / Omega[i - 1]
-
-    # Q_0 = delta, Omega_0 = psi_1 Q_1 / Q_0 = 1, then
-    # c_{i+2} Q_{i+1} = (c_{i+2} + c_{i+1} + 2 b_{i+1} delta^2) Q_i
-    #                   - c_{i+1} Q_{i-1}.
-    Q = np.zeros(N)
-    Q[0] = delta
-    if N >= 2:
-        Q[1] = Q[0] / psi[1]
-    for i in range(1, N - 1):
-        Q[i + 1] = (
-            (c[i + 2] + c[i + 1] + 2.0 * b[i + 1] * delta**2) * Q[i]
-            - c[i + 1] * Q[i - 1]
-        ) / c[i + 2]
-
-    d = np.zeros(max(N - 1, 0))
-    if N >= 2:
-        head = Q[0] * Q[1] / (2.0 * delta**2) * (c[1] * c[2] / 2.0) * phi0**2 * delta
-        for i in range(N - 1):
-            d[i] = head / (c[i + 2] * Q[i + 1] * Q[i])
-    D = np.zeros(max(N - 1, 0))
-    if N >= 2:
-        D = np.cumsum(d[::-1])[::-1].copy()
-    Y = float(D[0]) if N >= 2 else 0.0
-    X = (
-        math.sqrt(Q[0] * Q[1] / (2.0 * delta**2) * c[1] * c[2]) * phi0 * phiN / Q[N - 1]
-        if N >= 2
-        else 0.0
-    )
-    return SlicedModel(
-        N=N, delta=delta, phi0=phi0, phiN=phiN, a=a, b=b, c=c,
-        sigma=sigma, Sigma=Sigma, z=z, psi=psi, Omega=Omega, Q=Q,
-        d=d, D=D, X=X, Y=Y,
-    )
+    too_coarse = np.flatnonzero(_slice_width(c, b, delta, np.arange(1, N)) <= 0.0)
+    if too_coarse.size:
+        i = int(too_coarse[0]) + 1
+        raise ArithmeticError(f"sigma_{i} not positive (slice too coarse for b_{i}={b[i]})")
+    return SlicedModel(N=N, delta=delta, phi0=phi0, phiN=phiN, a=a, b=b, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +199,9 @@ def _bridge_setup(sm: SlicedModel):
     """Banded precision matrix, source vector and Gaussian normalization."""
     N, d = sm.N, sm.delta
     n = N - 1
-    diag = np.array([(sm.c[i] + sm.c[i + 1]) / d + 2.0 * sm.b[i] * d for i in range(1, N)])
-    off = np.array([-sm.c[i + 1] / d for i in range(1, N - 1)])
     ab = np.zeros((2, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
+    ab[0, 1:] = -sm.c[2:N] / d
+    ab[1, :] = (sm.c[1:N] + sm.c[2:]) / d + 2.0 * sm.b[1:N] * d
     try:
         chol = cholesky_banded(ab, lower=False)
     except Exception as exc:
@@ -445,16 +388,18 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
     from scipy.special import poch
 
     N, d = sm.N, sm.delta
-    if N not in (2, 3):
-        raise ValueError(f"wn_series_exact supports N <= 3, got {N}")
-    s0 = sm.c[1] * sm.phi0 * math.sqrt(sm.sigma[1]) / d
-    t_last = sm.c[N] * sm.phiN * math.sqrt(sm.sigma[N - 1]) / (2.0 * d)
-    # scriptD_{-m-1/2}(z_i), m = 0..2 cap, on the interior slices i >= 1
-    # (z_0 = 0 lies outside pcf_scaled's domain and is never used).
-    pcf = [None] + [
-        np.array([pcf_scaled(-m - 0.5, sm.z[i]) for m in range(2 * cap + 1)])
-        for i in range(1, N)
-    ]
+    # Element i - 1 of each array belongs to interior slice i = 1..N-1:
+    # sigma_i, z_i = 1/(sigma_i sqrt(2 a_i delta)), and for i <= N-2
+    # Sigma_i = (c_{i+1}/(2 delta))^2 sigma_i sigma_{i+1}.
+    interior = np.arange(1, N)
+    width = _slice_width(sm.c, sm.b, d, interior)
+    sigma = 1.0 / width
+    z = width / np.sqrt(2.0 * sm.a[interior] * d)
+    Sigma = (sm.c[2:N] / (2.0 * d)) ** 2 * sigma[:-1] * sigma[1:]
+    s0 = sm.c[1] * sm.phi0 * math.sqrt(sigma[0]) / d
+    t_last = sm.c[N] * sm.phiN * math.sqrt(sigma[-1]) / (2.0 * d)
+    # scriptD_{-m-1/2}(z_i), m = 0..2 cap, on the interior slices.
+    pcf = [np.array([pcf_scaled(-m - 0.5, zi) for m in range(2 * cap + 1)]) for zi in z]
 
     total = 0.0
     n = np.arange(cap)
@@ -467,9 +412,9 @@ def _series_sum(sm: SlicedModel, cap: int) -> float:
         for i in range(1, N):
             v = np.array(
                 [
-                    (t_last ** (2 * k + rho) if i == N - 1 else sm.Sigma[i] ** (k + rho / 2.0))
+                    (t_last ** (2 * k + rho) if i == N - 1 else Sigma[i - 1] ** (k + rho / 2.0))
                     / math.factorial(k)
-                    * float(np.sum(v * poch(k + rho + 0.5, n) * pcf[i][k + rho + n]))
+                    * float(np.sum(v * poch(k + rho + 0.5, n) * pcf[i - 1][k + rho + n]))
                     for k in range(cap)
                 ]
             )
@@ -489,12 +434,15 @@ def wn_series_exact(
 ) -> float:
     """Exact parabolic-cylinder multi-sum for W_N, N <= 3.
 
-    Sums the rho in {0,1}, n_i series with the per-index cap `caps`,
-    doubling the cap until the relative change is below tail_tol; the final
-    tail estimate is logged and a violation raises ArithmeticError.
+    Sums the rho in {0,1}, n_i series with the per-index cap `caps` (>= 2),
+    then at 1.5, 2 and 3 times `caps`, until the relative change is below
+    tail_tol; the final tail estimate is logged and a violation raises
+    ArithmeticError.
     """
     if not 2 <= N <= 3:
         raise ValueError(f"wn_series_exact supports N in {{2, 3}}, got {N}")
+    if caps < 2:  # int(1.5 * 1) repeats cap 1, whose zero tail passed as converged
+        raise ValueError(f"wn_series_exact needs caps >= 2, got caps = {caps}")
     phi0, phiN = _endpoints(boundary)
     sm = sliced_model(model, N, phi0, phiN)
     if np.any(sm.a[1:N] <= 0.0):
@@ -524,16 +472,18 @@ def continuum_extrapolate(values) -> tuple[float, float]:
     Fits W_N = p(1/N) by least squares (degree min(3, len-1)) and returns
     (p(0), error_estimate), where the error estimate is the leave-one-out
     spread of the limit, inflated when the sequence is not monotone.
-    Raises ValueError, naming the N, for an N below 1 or a repeated N (a
-    repeat makes the fit rank-deficient).
+    Raises ValueError, naming the N, for an N below 1, a repeated N (a
+    repeat makes the fit rank-deficient) or a nan or infinite W_N.
     """
     pairs = sorted((int(n), float(v)) for n, v in values)
     if len(pairs) < 3:
         raise ValueError("continuum_extrapolate needs at least 3 values")
     ns = [n for n, _ in pairs]
-    for n in ns:
+    for n, v in pairs:
         if n < 1 or ns.count(n) > 1:
             raise ValueError(f"continuum_extrapolate needs distinct N >= 1, got N = {n} in {ns}")
+        if not math.isfinite(v):
+            raise ValueError(f"continuum_extrapolate needs finite W_N, got {v} at N = {n} in {ns}")
     ws = np.array([v for _, v in pairs])
     x = 1.0 / np.array(ns, dtype=float)
     deg = min(3, len(pairs) - 1)

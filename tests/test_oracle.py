@@ -1,4 +1,4 @@
-"""Tests for the time-sliced oracles: discrete symbol identities, the
+"""Tests for the time-sliced oracles: the sampled model and its refusals, the
 transfer-matrix quadrature, the Monte Carlo estimator, the exact
 parabolic-cylinder multi-sum, and the continuum extrapolation.
 """
@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from anharmprop import (
@@ -47,6 +46,13 @@ TABLE = CoefficientModel(
 # negative at tau = 1/3, a slice point of N = 3 and N = 6 on beta = 1.
 NEGATIVE_A = CoefficientModel(
     a=poly_coefficient([1.0 / 9.0 - 1e-7, -2.0 / 3.0, 1.0]), b=0.5, c=1.0, beta=1.0
+)
+
+# b = 0.5 + 300.5 tau - 601 tau^2 is positive up to tau = 1/2 and strongly
+# negative after it, so the first slice too coarse for it is an inner one:
+# i = 2 at N = 3, i = 3 at N = 5 and i = 6 at N = 8.
+LATE_NEGATIVE_B = CoefficientModel(
+    a=0.05, b=poly_coefficient([0.5, 300.5, -601.0]), c=1.0, beta=1.0
 )
 
 
@@ -100,46 +106,6 @@ def _pow4_montecarlo(model, boundary, N, samples, seed):
 
 
 class TestSlicedModel:
-    @pytest.mark.parametrize("N", [4, 16, 64])
-    def test_omega_q_identity(self, N):
-        # Omega_i = psi_{i+1} Q_{i+1} / Q_i links the continued-fraction and
-        # difference-equation forms of the same Gaussian elimination.
-        sm = sliced_model(VARYING, N, *BOUNDARY)
-        for i in range(0, N - 1):
-            assert sm.Omega[i] == pytest.approx(
-                sm.psi[i + 1] * sm.Q[i + 1] / sm.Q[i], rel=1e-12
-            )
-
-    def test_discrete_Q_converges_to_ode(self):
-        # Q_i approaches the continuum Q(tau_{i+1}): the difference equation
-        # starts one slice in with Q_0 = delta.  The one-sided coefficient
-        # sampling makes the discrete solution first-order accurate, so the
-        # worst relative error should halve when N doubles.
-        sol = solve_Q(VARYING)
-        q_spline = CubicSpline(sol.grid, sol.Q)
-
-        def worst_error(N):
-            sm = sliced_model(VARYING, N, *BOUNDARY)
-            taus = sm.delta * np.arange(1, N + 1)
-            cont = q_spline(taus)
-            return float(np.max(np.abs(sm.Q - cont) / np.abs(cont))), sm.delta
-
-        errs = {N: worst_error(N) for N in (32, 64, 128)}
-        for N, (err, delta) in errs.items():
-            assert err < 0.2 * delta
-        assert errs[64][0] == pytest.approx(errs[32][0] / 2.0, rel=0.2)
-        assert errs[128][0] == pytest.approx(errs[64][0] / 2.0, rel=0.2)
-
-    def test_y_is_suffix_sum_head(self):
-        sm = sliced_model(VARYING, 16, *BOUNDARY)
-        assert sm.Y == pytest.approx(float(np.sum(sm.d)), rel=1e-14, abs=0.0)
-        assert sm.D[0] == sm.Y
-
-    def test_z_infinite_where_a_zero(self):
-        model = CoefficientModel(a=0.0, b=0.5, c=1.0, beta=1.0)
-        sm = sliced_model(model, 8, *BOUNDARY)
-        assert np.all(np.isinf(sm.z[1:8]))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             sliced_model(REFERENCE, 0, *BOUNDARY)
@@ -150,6 +116,10 @@ class TestSlicedModel:
         model = CoefficientModel(a=0.05, b=-5.0, c=1.0, beta=1.0)
         with pytest.raises(ArithmeticError, match=r"sigma_1 not positive .* b_1=-5\.0"):
             sliced_model(model, 2, *BOUNDARY)
+        # 1/sigma_i = 8 + b_i / 8 at N = 8 is positive up to i = 5 and
+        # negative from i = 6 on; the first bad i is named.
+        with pytest.raises(ArithmeticError, match=r"sigma_6 not positive .* b_6=-112\.1875\)"):
+            sliced_model(LATE_NEGATIVE_B, 8, *BOUNDARY)
 
     def test_negative_quartic_on_the_lattice_is_named(self):
         with pytest.raises(ValueError, match=r"a_2 = -1\.0\d*e-07 at tau_2 = 0\.333"):
@@ -171,6 +141,25 @@ def test_negative_quartic_is_refused_by_every_oracle(oracle_call):
     # Unchecked, the Monte Carlo weight exp(-delta a_1 phi^4) grows without
     # bound in phi and the estimate came back as an ordinary number.
     with pytest.raises(ValueError, match=r"a_1 = .* at tau_1 = 0\.333"):
+        oracle_call()
+
+
+@pytest.mark.parametrize(
+    "oracle_call, i",
+    [
+        (lambda: wn_quadrature(LATE_NEGATIVE_B, BOUNDARY, 5), 3),
+        (lambda: wn_montecarlo(LATE_NEGATIVE_B, BOUNDARY, 8, 10_000, 0), 6),
+        (lambda: wn_series_exact(LATE_NEGATIVE_B, BOUNDARY, 3), 2),
+    ],
+    ids=["quadrature", "montecarlo", "series-exact"],
+)
+def test_coarse_inner_slice_is_refused_before_sampling(monkeypatch, oracle_call, i):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the oracle sampled a model with a non-positive slice width")
+
+    for name in ("_wn_transfer", "_bridge_setup", "_mc_chunk", "_series_prefactor", "_series_sum"):
+        monkeypatch.setattr(oracle, name, no_sampling)
+    with pytest.raises(ArithmeticError, match=rf"sigma_{i} not positive"):
         oracle_call()
 
 
@@ -527,6 +516,14 @@ class TestSeriesExact:
         with pytest.raises(ArithmeticError, match=r"tail \S+ above 1e-08 at cap 6$"):
             wn_series_exact(REFERENCE, BOUNDARY, 2, caps=2)
 
+    @pytest.mark.parametrize("caps", [0, 1])
+    def test_caps_below_two_are_refused(self, caps):
+        # caps = 1 summed at caps 1, 1, 2, 3: the repeated cap read a zero
+        # tail and a one-term sum (0.256 against 0.323 at N = 3) came back as
+        # converged; caps = 0 returned 0.0.
+        with pytest.raises(ValueError, match=rf"needs caps >= 2, got caps = {caps}$"):
+            wn_series_exact(REFERENCE, BOUNDARY, 3, caps=caps)
+
     @pytest.mark.parametrize(
         "model, N, pinned",
         [
@@ -569,19 +566,22 @@ class TestContinuumExtrapolate:
             continuum_extrapolate([(2, 1.0), (3, 1.1)])
 
     @pytest.mark.parametrize(
-        "values, bad",
+        "values, match",
         [
-            ([(2, 1.0), (2, 1.1), (3, 1.2)], 2),
-            ([(2, 1.0), (3, 1.1), (5, 1.2), (5, 1.3)], 5),
-            ([(0, 1.0), (2, 1.1), (3, 1.2)], 0),
-            ([(3, 1.0), (-1, 1.1), (2, 1.2)], -1),
+            ([(2, 1.0), (2, 1.1), (3, 1.2)], "distinct N >= 1, got N = 2 in"),
+            ([(2, 1.0), (3, 1.1), (5, 1.2), (5, 1.3)], "distinct N >= 1, got N = 5 in"),
+            ([(0, 1.0), (2, 1.1), (3, 1.2)], "distinct N >= 1, got N = 0 in"),
+            ([(3, 1.0), (-1, 1.1), (2, 1.2)], "distinct N >= 1, got N = -1 in"),
+            ([(2, 1.0), (3, math.nan), (4, 1.2)], r"finite W_N, got nan at N = 3 in \[2, 3, 4\]"),
+            ([(4, math.inf), (2, 1.1), (3, 1.2)], "finite W_N, got inf at N = 4 in"),
+            ([(2, 1.0), (8, -math.inf), (3, 1.2)], "finite W_N, got -inf at N = 8 in"),
         ],
-        ids=["repeated", "repeated-last", "zero", "negative"],
+        ids=["repeated", "repeated-last", "zero", "negative", "nan", "inf", "minus-inf"],
     )
-    def test_refuses_repeated_or_non_positive_n(self, values, bad):
+    def test_refuses_repeated_or_non_positive_n(self, values, match):
         # A repeated N made the fit rank-deficient and N = 0 divided by zero;
-        # both came back as ordinary numbers.
-        with pytest.raises(ValueError, match=rf"distinct N >= 1, got N = {bad} in"):
+        # both, and a nan or infinite W_N, came back as ordinary numbers.
+        with pytest.raises(ValueError, match=match):
             continuum_extrapolate(values)
 
     @pytest.mark.parametrize(
